@@ -71,15 +71,17 @@ struct Instr {
   std::uint16_t a = 0;    // Loop id (loop ops) or atom index (kAtomCheck).
   std::uint16_t b = 0;    // Atom index (kLoopCand).
   std::uint16_t reg = 0;  // Loop variable register.
-  std::uint8_t flags = 0; // kLoopCand: kFlagOrdered.
+  std::uint8_t flags = 0; // Loop heads: kFlagOrdered.
   std::uint32_t t_pc = 0;
   std::uint32_t f_pc = 0;
   RegOperand lhs, rhs;    // kEquals.
 };
 
-// kLoopCand flag: candidates are filtered through the domain in domain
+// Set on every output loop head (kLoopDomain or kLoopCand) and on no other
+// loop. kLoopCand: candidates are filtered through the domain in domain
 // order (output loops must preserve the interpreter's emission order);
-// unordered loops keep first-seen row order.
+// unordered loops keep first-seen row order. The VM's parallel driver
+// slices pc 0 only when it carries this flag.
 inline constexpr std::uint8_t kFlagOrdered = 1;
 
 struct Program {

@@ -119,7 +119,7 @@ void MaterializeCand(const Program& program, const Instr& in,
   }
 }
 
-// Overrides the value sequence of the outermost loop (the instruction at
+// Overrides the value sequence of the outermost output loop (the one at
 // pc 0): the parallel driver materializes that loop's values once, slices
 // them into morsels, and runs one Run per morsel over its slice. Emission
 // order within a slice matches the serial sweep of that subrange, so
@@ -262,13 +262,16 @@ void ExecutionEntry() {
   }
 }
 
-// True when the program's outermost output loop (the instruction at pc 0)
-// can be pre-materialized and sliced: its candidate key must not read
-// registers (none are bound at pc 0; the compiler peels output loops so
-// this holds for every enumerate program it emits — checked anyway).
+// True when the instruction at pc 0 is an output loop that can be
+// pre-materialized and sliced: each of its values starts an independent
+// sweep of the emissions below it, and its candidate key reads no
+// registers (none are bound at pc 0). Only output loops carry
+// kFlagOrdered. A Boolean program has none, so its pc 0 is a quantifier
+// loop whose verdict needs the whole domain — it runs serially.
 bool SliceableOuterLoop(const Program& program) {
   if (!program.enumerate || program.code.empty()) return false;
   const Instr& in = program.code[0];
+  if ((in.flags & kFlagOrdered) == 0) return false;
   if (in.op == OpCode::kLoopDomain) return true;
   if (in.op != OpCode::kLoopCand) return false;
   for (const ColumnRole& col : program.atoms[in.b].columns) {

@@ -371,7 +371,7 @@ Dispatcher::RecoveryReport Dispatcher::LoadSnapshots() {
     if (!records.ok() || records->empty()) continue;
     ++report.wal_sessions;
     std::shared_ptr<SessionState> session = sessions_.GetOrCreate(name);
-    std::unique_lock<std::shared_mutex> lock(session->mutex);
+    std::unique_lock<SessionMutex> lock(session->mutex);
     std::uint64_t pending = 0;
     for (std::size_t i = 0; i < records->size(); ++i) {
       const WalRecord& record = (*records)[i];
@@ -441,7 +441,7 @@ std::size_t Dispatcher::SaveAllSessions() {
   std::size_t saved = 0;
   for (const std::string& name : sessions_.Names()) {
     std::shared_ptr<SessionState> session = sessions_.GetOrCreate(name);
-    std::shared_lock<std::shared_mutex> lock(session->mutex);
+    std::shared_lock<SessionMutex> lock(session->mutex);
     if (session->persisted_version.load(std::memory_order_acquire) ==
         session->version) {
       ZO_COUNTER_INC("svc.snapshot.save_skipped");
@@ -508,7 +508,7 @@ Status Dispatcher::ApplyReplicatedRecord(const std::string& name,
     return Status::Error("bad session token '", name, "'");
   }
   std::shared_ptr<SessionState> session = sessions_.GetOrCreate(name);
-  std::unique_lock<std::shared_mutex> lock(session->mutex);
+  std::unique_lock<SessionMutex> lock(session->mutex);
   if (record.version <= session->version) {
     ZO_COUNTER_INC("svc.ship.records_skipped");
     return Status::Ok();  // Re-shipped record; applying again would fork.
@@ -555,7 +555,7 @@ Status Dispatcher::InstallSnapshotImage(const std::string& image) {
     return Status::Error("bad session token '", name, "'");
   }
   std::shared_ptr<SessionState> session = sessions_.GetOrCreate(name);
-  std::unique_lock<std::shared_mutex> lock(session->mutex);
+  std::unique_lock<SessionMutex> lock(session->mutex);
   if (loaded.version < session->version) {
     return Status::Error("stale snapshot v", loaded.version, " for '", name,
                          "' already at v", session->version);
@@ -603,7 +603,7 @@ Dispatcher::SessionVersions() {
   std::vector<std::pair<std::string, std::uint64_t>> versions;
   for (const std::string& name : sessions_.Names()) {
     std::shared_ptr<SessionState> session = sessions_.GetOrCreate(name);
-    std::shared_lock<std::shared_mutex> lock(session->mutex);
+    std::shared_lock<SessionMutex> lock(session->mutex);
     versions.emplace_back(name, session->version);
   }
   return versions;
@@ -659,7 +659,7 @@ Response Dispatcher::Execute(const Request& request) {
     // @explain=1: answer with the plan the evaluation would run, without
     // executing it. Never reads or fills the result cache — the point is
     // to see the plan for the live session state.
-    std::shared_lock<std::shared_mutex> lock(session->mutex);
+    std::shared_lock<SessionMutex> lock(session->mutex);
     if (IsQueryEvalCommand(request.command)) {
       Status has_query = RequireQuery(*session);
       if (!has_query.ok()) {
@@ -716,7 +716,7 @@ Response Dispatcher::Execute(const Request& request) {
                  request.command, "'");
       return response;
     }
-    std::unique_lock<std::shared_mutex> lock(session->mutex);
+    std::unique_lock<SessionMutex> lock(session->mutex);
     std::string command = request.command;
     std::string args = request.args;
     if (wal_ != nullptr && command == "load") {
@@ -792,7 +792,7 @@ Response Dispatcher::Execute(const Request& request) {
       wal_->TruncateTo(request.session, wal_before);
     }
   } else {
-    std::shared_lock<std::shared_mutex> lock(session->mutex);
+    std::shared_lock<SessionMutex> lock(session->mutex);
     // Compiled plans for this read are cached under (session, version):
     // any mutation bumps the version, so a stale plan is unreachable —
     // the same invalidation discipline as the result cache below.
@@ -853,7 +853,7 @@ Response Dispatcher::ExecuteSave(const Request& request,
     response.payload = "snapshots disabled (start with --snapshot-dir)";
     return response;
   }
-  std::shared_lock<std::shared_mutex> lock(session->mutex);
+  std::shared_lock<SessionMutex> lock(session->mutex);
   if (session->persisted_version.load(std::memory_order_acquire) ==
       session->version) {
     // Nothing changed since the last persisted snapshot: answer without
@@ -924,7 +924,7 @@ Response Dispatcher::ExecuteShip(const Request& request) {
     return response;
   }
   std::shared_ptr<SessionState> session = sessions_.GetOrCreate(name);
-  std::shared_lock<std::shared_mutex> lock(session->mutex);
+  std::shared_lock<SessionMutex> lock(session->mutex);
   if (*from >= session->version) {
     response.payload = "RECS 0 0\n";  // Follower is caught up.
     return response;

@@ -177,7 +177,7 @@ Status Replicator::Pull(PullFailureKind* kind) {
       // local recovery already holds instead of re-shipping history.
       std::shared_ptr<SessionState> local =
           dispatcher_->sessions().GetOrCreate(session);
-      std::shared_lock<std::shared_mutex> lock(local->mutex);
+      std::shared_lock<SessionMutex> lock(local->mutex);
       cursor = local->version;
     }
     while (cursor < primary_version &&
@@ -228,7 +228,7 @@ Status Replicator::ApplyShipPayload(const std::string& session,
     std::shared_ptr<SessionState> local =
         dispatcher_->sessions().GetOrCreate(session);
     {
-      std::shared_lock<std::shared_mutex> session_lock(local->mutex);
+      std::shared_lock<SessionMutex> session_lock(local->mutex);
       *cursor = local->version;
     }
     std::lock_guard<std::mutex> lock(mutex_);

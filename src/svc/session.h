@@ -8,7 +8,7 @@
 // (the `@session=` request option; "default" otherwise) and live for the
 // server's lifetime.
 //
-// Concurrency: the per-session shared_mutex serializes mutations against
+// Concurrency: the per-session SessionMutex serializes mutations against
 // evaluations — evaluation commands are pure in the session state, so any
 // number of them run concurrently under shared locks, while a mutation
 // (which also bumps `version`) takes the lock exclusively. The version is
@@ -16,6 +16,9 @@
 // never be served after a mutation.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -35,10 +38,33 @@ namespace svc {
 // persisted_version value for a session no snapshot has ever captured.
 inline constexpr std::uint64_t kNeverPersisted = ~std::uint64_t{0};
 
+// The session lock: a std::shared_mutex behind a writer gate. glibc's
+// std::shared_mutex prefers readers, so readers whose shared holds keep
+// overlapping can starve a writer indefinitely. Here, once a writer has
+// waited for a grace period (session.cc), new lock_shared() calls queue
+// at the gate until it holds the lock, which bounds every mutation's wait
+// by the grace period plus the longest read already running. Lock it
+// through this type (std::shared_lock<SessionMutex>); a lock taken through
+// the base class still excludes writers but skips the gate. Not recursive:
+// a thread holding the shared lock must not take it again.
+class SessionMutex : public std::shared_mutex {
+ public:
+  void lock();
+  void lock_shared();
+
+ private:
+  std::mutex gate_mutex_;
+  std::condition_variable gate_open_;
+  // Guarded by gate_mutex_: writers blocked in lock(), and when the
+  // current grace period began.
+  std::size_t waiting_writers_ = 0;
+  std::chrono::steady_clock::time_point waiting_since_;
+};
+
 struct SessionState {
   // Guards every field below except the atomics. Shared for evaluation,
   // exclusive for mutation (see Dispatcher).
-  std::shared_mutex mutex;
+  SessionMutex mutex;
 
   // Bumped on every successful mutation command.
   std::uint64_t version = 0;

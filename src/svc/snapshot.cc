@@ -486,7 +486,7 @@ SnapshotStore::LoadReport SnapshotStore::LoadAll(SessionRegistry* sessions) {
     }
     std::shared_ptr<SessionState> target = sessions->GetOrCreate(session);
     {
-      std::unique_lock<std::shared_mutex> lock(target->mutex);
+      std::unique_lock<SessionMutex> lock(target->mutex);
       target->version = loaded.version;
       target->db = std::move(loaded.db);
       target->query = std::move(loaded.query);

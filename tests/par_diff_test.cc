@@ -7,10 +7,11 @@
 //
 //  - FO evaluation (EvaluateQuery): identical answer vectors, order
 //    included — per-morsel answer slots concatenate in morsel-index order,
-//    which is domain order.
+//    which is domain order. Unary and Boolean (0-ary) queries both run.
 //  - µ^k measures: MuKParallel at every width equals serial MuK exactly
 //    (the sharded counter sums per-morsel partials in morsel order).
-//  - Certain / possible answers: identical verdicts.
+//  - Certain / possible answers: identical verdicts, for a unary and a
+//    Boolean UCQ.
 //  - Homomorphism and cores: literally identical results, not just
 //    equivalent ones — the minimal-stop-index protocol makes the parallel
 //    root sweep reproduce the serial first match.
@@ -94,8 +95,11 @@ TEST_P(ParDiffTest, QueryEvaluationIsIdenticalAtEveryWidth) {
   Database db = SmallDb(seed);
   RandomQueryOptions q_options;
   q_options.relations = {{"R", 2}, {"S", 1}};
-  for (int variant = 0; variant < 4; ++variant) {
-    q_options.seed = seed * 97 + static_cast<std::uint64_t>(variant);
+  // Unary variants, then Boolean ones: a 0-ary program has no output loop
+  // to slice, and must still answer {()} or {} at every width.
+  for (int variant = 0; variant < 8; ++variant) {
+    q_options.free_variables = variant < 4 ? 1 : 0;
+    q_options.seed = seed * 97 + static_cast<std::uint64_t>(variant % 4);
     Query fo = GenerateRandomFo(q_options, /*negation_probability=*/0.3);
     auto serial = WithThreads(1, [&] { return EvaluateQuery(fo, db); });
     for (std::size_t width : kWidths) {
@@ -106,8 +110,8 @@ TEST_P(ParDiffTest, QueryEvaluationIsIdenticalAtEveryWidth) {
                                   << fo.ToString();
     }
     // Both plan modes must agree under parallelism: the interpreter's
-    // outer valuation loop and the VM's sliced kLoopDomain/kLoopCand are
-    // independently morselized.
+    // outer valuation loop and the VM's outermost output loop are
+    // independently morselized (a Boolean program has no output loop).
     auto interpreted = WithThreads(8, [&] {
       return WithPlanMode(plan::PlanMode::kInterpret,
                           [&] { return EvaluateQuery(fo, db); });
@@ -158,6 +162,20 @@ TEST_P(ParDiffTest, CertainAndPossibleVerdictsAreIdenticalAtEveryWidth) {
     EXPECT_EQ(certain_serial,
               WithThreads(width, [&] { return CertainAnswers(ucq, db); }))
         << ucq.ToString() << " width " << width;
+  }
+  // The Boolean UCQ over the same seed: CertainAnswers takes its candidates
+  // from naive evaluation, which must give {()} or {} at every width.
+  RandomQueryOptions boolean_options = q_options;
+  boolean_options.free_variables = 0;
+  Query boolean_ucq = GenerateRandomUcq(boolean_options);
+  auto boolean_serial =
+      WithThreads(1, [&] { return CertainAnswers(boolean_ucq, db); });
+  EXPECT_LE(boolean_serial.size(), 1u) << boolean_ucq.ToString();
+  for (std::size_t width : kWidths) {
+    EXPECT_EQ(boolean_serial, WithThreads(width, [&] {
+                return CertainAnswers(boolean_ucq, db);
+              }))
+        << boolean_ucq.ToString() << " width " << width;
   }
   for (const Tuple& candidate : NaiveEvaluate(ucq, db)) {
     bool serial =

@@ -1,7 +1,7 @@
 // Tests for the zeroone::svc serving subsystem: the LRU result cache, the
-// bounded executor, the dispatcher's cache/invalidation behavior, and the
-// TCP server end to end (concurrent correctness, overload rejection,
-// deadlines, graceful drain).
+// bounded executor, the session lock, the dispatcher's cache/invalidation
+// behavior, and the TCP server end to end (concurrent correctness,
+// overload rejection, deadlines, graceful drain).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "svc/executor.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
+#include "svc/session.h"
 
 namespace zeroone {
 namespace svc {
@@ -173,6 +176,49 @@ TEST(BoundedExecutorTest, DrainCompletesAcceptedTasks) {
     EXPECT_FALSE(executor.TrySubmit([&] { ++done; }));  // After drain.
   }
   EXPECT_EQ(done.load(), 10);
+}
+
+// ---------------------------------------------------------------------------
+// SessionMutex
+
+// Three readers relay the shared lock: each releases only once a later
+// reader holds it too (or after 1 ms), so between reads the lock is never
+// free. A reader-preferring lock lets such readers starve a writer for as
+// long as they run; the session lock must admit it once its grace period
+// (250 ms) is up.
+TEST(SvcSessionMutexTest, WriterIsNotStarvedByOverlappingReaders) {
+  SessionMutex mutex;
+  std::atomic<bool> stop{false};
+  std::atomic<int> acquisitions{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!stop) {
+        std::shared_lock<SessionMutex> lock(mutex);
+        int mine = ++acquisitions;
+        auto release_by =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+        while (acquisitions == mine &&
+               std::chrono::steady_clock::now() < release_by) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  while (acquisitions == 0) std::this_thread::yield();
+
+  std::promise<void> acquired;
+  std::future<void> writer_in = acquired.get_future();
+  std::thread writer([&] {
+    std::unique_lock<SessionMutex> lock(mutex);
+    acquired.set_value();
+  });
+  bool in_time = writer_in.wait_for(std::chrono::seconds(10)) ==
+                 std::future_status::ready;
+  stop = true;
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_TRUE(in_time) << "writer still waiting after 10 s behind readers";
 }
 
 // ---------------------------------------------------------------------------
