@@ -109,6 +109,12 @@ int ConditionalMuViaChase(const Query& query,
                           const Database& db, const Tuple& tuple) {
   ChaseResult chase = ChaseFds(fds, db);
   if (!chase.success) return 0;
+  return MuLimitAfterChase(query, chase, tuple);
+}
+
+int MuLimitAfterChase(const Query& query, const ChaseResult& chase,
+                      const Tuple& tuple) {
+  assert(chase.success && "Theorem 5 needs a chase that reached a fixpoint");
   // Map the tuple's nulls through the chase (Theorem 5 is stated for
   // constant tuples; the natural extension maps merged/renamed nulls to
   // their representatives).

@@ -60,10 +60,17 @@ int ImplicationMuLimit(const Query& query, const Query& sigma,
 // Theorem 5: for FD-only Σ, µ(Q|Σ,D,ā) = µ(Q, chase_Σ(D), ā) — so the
 // conditional measure obeys a 0–1 law and is computable in polynomial time.
 // Nulls in ā are first mapped through the chase's null mapping. Returns 0
-// when the chase fails (Σ unsatisfiable in D, matching the convention).
+// when the chase fails (Σ unsatisfiable in D, matching the convention) —
+// and also when cancellation stopped it, so code that runs under a deadline
+// calls ChaseFds and MuLimitAfterChase itself (core/exact_plan does).
 int ConditionalMuViaChase(const Query& query,
                           const std::vector<FunctionalDependency>& fds,
                           const Database& db, const Tuple& tuple);
+
+// The right-hand side of Theorem 5 for a successful chase: µ(Q,
+// chase_Σ(D), ā) with ā's nulls mapped through chase.null_mapping.
+int MuLimitAfterChase(const Query& query, const ChaseResult& chase,
+                      const Tuple& tuple);
 
 }  // namespace zeroone
 

@@ -1,5 +1,6 @@
 #include "core/ucq_compare.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <optional>
@@ -115,13 +116,15 @@ Unifier::Item TermItem(const Term& term) {
                             : Unifier::Item::Val(term.value());
 }
 
-// Shared context for one UcqSeparates call.
+// Shared context for the Sep checks of one call: the UCQ is normalized
+// once and the fresh constants minted once, however many tuple pairs the
+// call checks. Fresh constants are interned for the life of the process,
+// so minting them per pair would grow the intern table with every pair.
 struct SeparationContext {
   const Database* db;
   UcqNormalForm ucq;
   std::vector<std::size_t> free_variables;
-  Tuple a;
-  Tuple b;
+  std::size_t arity;
   std::vector<Value> fresh_pool;  // Fresh constants for free null classes.
 };
 
@@ -166,7 +169,7 @@ void CollectNulls(const Values& tuple, std::vector<Value>* nulls) {
 }
 
 // Recursive assignment of clause atoms to database tuples.
-bool MatchAtoms(const SeparationContext& context,
+bool MatchAtoms(const SeparationContext& context, const Tuple& b,
                 const ConjunctiveClause& clause, std::size_t atom_index,
                 Unifier* unifier, std::vector<Value>* domain_nulls) {
   if (atom_index == clause.atoms.size()) {
@@ -174,7 +177,7 @@ bool MatchAtoms(const SeparationContext& context,
     Valuation v = MostGeneralValuation(unifier, *domain_nulls,
                                        context.fresh_pool);
     Database valuated = v.Apply(*context.db);
-    Tuple b_image = v.Apply(context.b);
+    Tuple b_image = v.Apply(b);
     return !UcqMembership(context.ucq, context.free_variables, valuated,
                           b_image);
   }
@@ -192,7 +195,8 @@ bool MatchAtoms(const SeparationContext& context,
     }
     if (consistent) {
       CollectNulls(tuple, domain_nulls);
-      if (MatchAtoms(context, clause, atom_index + 1, unifier, domain_nulls)) {
+      if (MatchAtoms(context, b, clause, atom_index + 1, unifier,
+                     domain_nulls)) {
         return true;
       }
     }
@@ -202,43 +206,39 @@ bool MatchAtoms(const SeparationContext& context,
   return false;
 }
 
+// `max_tuple_nulls` bounds the nulls of any ā the context will be asked
+// about.
 StatusOr<SeparationContext> MakeContext(const Query& query, const Database& db,
-                                        const Tuple& a, const Tuple& b) {
-  if (a.arity() != query.arity() || b.arity() != query.arity()) {
-    return Status::Error("UcqSeparates: tuple arity mismatch");
-  }
+                                        std::size_t max_tuple_nulls) {
   StatusOr<UcqNormalForm> ucq = NormalizeUcq(*query.formula());
   if (!ucq.ok()) return ucq.status();
   SeparationContext context;
   context.db = &db;
   context.ucq = std::move(*ucq);
   context.free_variables = query.free_variables();
-  context.a = a;
-  context.b = b;
+  context.arity = query.arity();
   // Upper bound on free null classes: nulls of D plus nulls of ā.
-  std::size_t pool_size = db.Nulls().size() + a.Nulls().size();
+  std::size_t pool_size = db.Nulls().size() + max_tuple_nulls;
   for (std::size_t i = 0; i < pool_size; ++i) {
     context.fresh_pool.push_back(Value::FreshConstant());
   }
   return context;
 }
 
-}  // namespace
-
-StatusOr<bool> UcqSeparates(const Query& query, const Database& db,
-                            const Tuple& a, const Tuple& b) {
-  StatusOr<SeparationContext> context = MakeContext(query, db, a, b);
-  if (!context.ok()) return context.status();
-  for (const ConjunctiveClause& clause : context->ucq.disjuncts) {
+StatusOr<bool> Separates(const SeparationContext& context, const Tuple& a,
+                         const Tuple& b) {
+  if (a.arity() != context.arity || b.arity() != context.arity) {
+    return Status::Error("UcqSeparates: tuple arity mismatch");
+  }
+  for (const ConjunctiveClause& clause : context.ucq.disjuncts) {
     Unifier unifier;
     // Pin the free variables to ā's components and apply the clause's
     // equality atoms.
     bool consistent = true;
-    for (std::size_t i = 0;
-         i < context->free_variables.size() && consistent; ++i) {
-      consistent = unifier.Unify(
-          Unifier::Item::Var(context->free_variables[i]),
-          Unifier::Item::Val(context->a[i]));
+    for (std::size_t i = 0; i < context.free_variables.size() && consistent;
+         ++i) {
+      consistent = unifier.Unify(Unifier::Item::Var(context.free_variables[i]),
+                                 Unifier::Item::Val(a[i]));
     }
     for (const auto& [l, r] : clause.equalities) {
       if (!consistent) break;
@@ -246,7 +246,7 @@ StatusOr<bool> UcqSeparates(const Query& query, const Database& db,
     }
     if (!consistent) continue;
     std::vector<Value> domain_nulls;
-    CollectNulls(context->a, &domain_nulls);
+    CollectNulls(a, &domain_nulls);
     // Nulls pulled in by equality terms also belong to v′'s domain.
     for (const auto& [l, r] : clause.equalities) {
       for (const Term* t : {&l, &r}) {
@@ -255,11 +255,21 @@ StatusOr<bool> UcqSeparates(const Query& query, const Database& db,
         }
       }
     }
-    if (MatchAtoms(*context, clause, 0, &unifier, &domain_nulls)) {
+    if (MatchAtoms(context, b, clause, 0, &unifier, &domain_nulls)) {
       return true;
     }
   }
   return false;
+}
+
+}  // namespace
+
+StatusOr<bool> UcqSeparates(const Query& query, const Database& db,
+                            const Tuple& a, const Tuple& b) {
+  StatusOr<SeparationContext> context =
+      MakeContext(query, db, a.Nulls().size());
+  if (!context.ok()) return context.status();
+  return Separates(*context, a, b);
 }
 
 StatusOr<bool> UcqWeaklyDominated(const Query& query, const Database& db,
@@ -280,6 +290,13 @@ StatusOr<bool> UcqStrictlyDominated(const Query& query, const Database& db,
 StatusOr<std::vector<Tuple>> UcqBestAnswersAmong(
     const Query& query, const Database& db,
     const std::vector<Tuple>& candidates) {
+  std::size_t max_tuple_nulls = 0;
+  for (const Tuple& t : candidates) {
+    max_tuple_nulls = std::max(max_tuple_nulls, t.Nulls().size());
+  }
+  StatusOr<SeparationContext> context =
+      MakeContext(query, db, max_tuple_nulls);
+  if (!context.ok()) return context.status();
   // Precompute the pairwise Sep matrix; best = not strictly dominated.
   std::vector<std::vector<bool>> sep(candidates.size(),
                                      std::vector<bool>(candidates.size()));
@@ -289,7 +306,7 @@ StatusOr<std::vector<Tuple>> UcqBestAnswersAmong(
         sep[i][j] = false;
         continue;
       }
-      StatusOr<bool> s = UcqSeparates(query, db, candidates[i], candidates[j]);
+      StatusOr<bool> s = Separates(*context, candidates[i], candidates[j]);
       if (!s.ok()) return s.status();
       sep[i][j] = *s;
     }

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <unordered_map>
 
+#include "obs/metrics.h"
+
 namespace zeroone {
 
 namespace {
@@ -81,6 +83,8 @@ Value Value::FreshNull() {
 }
 
 Value Value::FreshConstant() {
+  // Each one stays in the intern table for the life of the process.
+  ZO_COUNTER_INC("data.fresh_constants");
   return Value(Kind::kConstant, ConstantTable().InternFresh("@"));
 }
 

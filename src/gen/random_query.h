@@ -40,6 +40,17 @@ Query GenerateRandomUcq(const RandomQueryOptions& options);
 Query GenerateRandomFo(const RandomQueryOptions& options,
                        double negation_probability);
 
+// A Pos∀G query (Corollary 3's fragment): a UCQ as above whose clauses
+// each gain, with probability `forall_probability` apiece, a guarded
+// universal ∀z̄ (G(…) → φ) and an unguarded positive universal
+// ∀z (A(…z…) ∨ B(…)) over the free variables, constants and the new bound
+// ones; with the same probability the whole formula is wrapped in a
+// top-level ∀z (Q ∨ A(…z…)). No negation and no unguarded implication, so
+// IsPosForallGuarded holds for every output. Uses its own random stream:
+// GenerateRandomUcq and GenerateRandomFo are unaffected.
+Query GenerateRandomPosForallGuarded(const RandomQueryOptions& options,
+                                     double forall_probability);
+
 }  // namespace zeroone
 
 #endif  // ZEROONE_GEN_RANDOM_QUERY_H_

@@ -48,8 +48,8 @@ bool IsUnionOfConjunctive(const Formula& formula) {
 namespace {
 
 // Checks the guarded-universal rule: the formula is a chain
-// ∀x₁ … ∀x_n (α → φ) where α is a relational atom whose variable terms are
-// pairwise-distinct variables including every x_i, and φ ∈ Pos∀G.
+// ∀x₁ … ∀x_n (R(x₁, …, x_n) → φ) — the guard's terms are exactly the
+// quantified variables, pairwise distinct — and φ ∈ Pos∀G.
 bool IsGuardedUniversal(const Formula& formula) {
   std::set<std::size_t> quantified;
   const Formula* current = &formula;
@@ -60,17 +60,19 @@ bool IsGuardedUniversal(const Formula& formula) {
   if (current->kind() != Formula::Kind::kImplies) return false;
   const Formula& guard = *current->children()[0];
   if (guard.kind() != Formula::Kind::kAtom) return false;
-  // The guard must be an atom α over pairwise-distinct variables covering
-  // the whole quantified tuple x̄ (it may additionally mention variables
-  // bound further out, as is usual in guarded fragments).
+  // The guard must be an atom over pairwise-distinct variables that are
+  // exactly the quantified tuple x̄. A guard may not mention a constant or
+  // a variable bound further out: Corollary 3 rests on preservation under
+  // onto homomorphisms, where every tuple of v(D) matching the guard is the
+  // image of a tuple of D matching it, and that fails once the guard pins
+  // a position to an outer value — D = {U(⊥), E(c, d)} satisfies
+  // ∀x (U(x) → ∀y (E(x, y) → R(y))) naïvely, but ⊥ ↦ c falsifies it.
   std::set<std::size_t> guard_variables;
   for (const Term& t : guard.terms()) {
     if (!t.is_variable()) return false;
     if (!guard_variables.insert(t.variable_id()).second) return false;
   }
-  for (std::size_t v : quantified) {
-    if (guard_variables.count(v) == 0) return false;
-  }
+  if (guard_variables != quantified) return false;
   return IsPosForallGuarded(*current->children()[1]);
 }
 

@@ -24,8 +24,9 @@ bool IsUnionOfConjunctive(const Formula& formula);
 
 // The Pos∀G fragment of Corollary 3 (Compton's positive FO with universal
 // guards): atomic formulas, closed under ∧, ∨, ∃, ∀, and the guarded rule
-// ∀x̄ (α(x̄) → φ) where α is a relational atom whose variable occurrences
-// are distinct variables covering all of x̄. Negation is not allowed, and
+// ∀x̄ (R(x̄) → φ) where the guard's terms are exactly the quantified
+// variables x̄, pairwise distinct (no constants, no variables bound further
+// out; φ may mention those). Negation is not allowed, and
 // implications may appear only as guards. For Pos∀G queries, naïve
 // evaluation computes certain answers, so almost-certainly-true and certain
 // answers coincide.

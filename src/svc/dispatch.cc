@@ -13,8 +13,8 @@
 #include "common/parse.h"
 #include "constraints/fd.h"
 #include "constraints/ind.h"
-#include "core/comparison.h"
-#include "core/conditional.h"
+#include "constraints/parse.h"
+#include "core/exact_plan.h"
 #include "core/measure.h"
 #include "core/support.h"
 #include "core/support_polynomial.h"
@@ -74,24 +74,31 @@ StatusOr<Tuple> ParseTupleArg(const SessionState& session,
   return tuple;
 }
 
-// Splits a comma list of numbers, e.g. "0,2" (CLI syntax for fd/ind).
-StatusOr<std::vector<std::size_t>> ParsePositions(const std::string& text) {
-  std::vector<std::size_t> positions;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) return Status::Error("empty position in '", text, "'");
-    std::size_t value = 0;
-    for (char c : item) {
-      if (c < '0' || c > '9') {
-        return Status::Error("bad position list '", text, "'");
-      }
-      value = value * 10 + static_cast<std::size_t>(c - '0');
-    }
-    positions.push_back(value);
+// `compare`'s two tuples: "(t1) (t2)", split at the first ')'.
+StatusOr<std::vector<Tuple>> ParseCompareArgs(const SessionState& session,
+                                              const std::string& text) {
+  std::size_t split = text.find(')');
+  if (split == std::string::npos) {
+    return Status::Error("usage: compare (t1) (t2)");
   }
-  if (positions.empty()) return Status::Error("empty position list");
-  return positions;
+  ZO_ASSIGN_OR_RETURN(Tuple a,
+                      ParseTupleArg(session, text.substr(0, split + 1)));
+  ZO_ASSIGN_OR_RETURN(Tuple b, ParseTupleArg(session, text.substr(split + 1)));
+  return std::vector<Tuple>{std::move(a), std::move(b)};
+}
+
+// The tuples an exact command consults: one for cond, two for compare.
+StatusOr<std::vector<Tuple>> ExactTupleArgs(const SessionState& session,
+                                            ExactCommand command,
+                                            const std::string& args) {
+  if (command == ExactCommand::kCompare) {
+    return ParseCompareArgs(session, args);
+  }
+  if (command == ExactCommand::kCond) {
+    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTupleArg(session, args));
+    return std::vector<Tuple>{std::move(tuple)};
+  }
+  return std::vector<Tuple>{};
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {
@@ -176,16 +183,16 @@ StatusOr<std::string> RunCommand(SessionState* session,
     AppendTuples(&out, NaiveEvaluate(session->query, session->db));
   } else if (command == "certain") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    AppendTuples(&out, CertainAnswers(session->query, session->db));
+    AppendTuples(&out, ExactCertainAnswers(session->query, session->db));
   } else if (command == "possible") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
     AppendTuples(&out, PossibleAnswers(session->query, session->db));
   } else if (command == "best") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    AppendTuples(&out, BestAnswers(session->query, session->db));
+    AppendTuples(&out, ExactBestAnswers(session->query, session->db));
   } else if (command == "bestmu") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    AppendTuples(&out, BestMuAnswers(session->query, session->db));
+    AppendTuples(&out, ExactBestMuAnswers(session->query, session->db));
   } else if (command == "mu") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
     ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTupleArg(*session, args));
@@ -221,16 +228,12 @@ StatusOr<std::string> RunCommand(SessionState* session,
         << TotalCountPolynomial(session->db).ToString() << ")";
   } else if (command == "compare") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    std::size_t split = args.find(')');
-    if (split == std::string::npos) {
-      return Status::Error("usage: compare (t1) (t2)");
-    }
-    ZO_ASSIGN_OR_RETURN(Tuple a,
-                        ParseTupleArg(*session, args.substr(0, split + 1)));
-    ZO_ASSIGN_OR_RETURN(Tuple b,
-                        ParseTupleArg(*session, args.substr(split + 1)));
-    bool ab = WeaklyDominated(session->query, session->db, a, b);
-    bool ba = WeaklyDominated(session->query, session->db, b, a);
+    ZO_ASSIGN_OR_RETURN(std::vector<Tuple> pair,
+                        ParseCompareArgs(*session, args));
+    SupportOrder order =
+        ExactCompare(session->query, session->db, pair[0], pair[1]);
+    bool ab = order.a_in_b;
+    bool ba = order.b_in_a;
     out << "Supp(a) ⊆ Supp(b): " << (ab ? "yes" : "no")
         << "; Supp(b) ⊆ Supp(a): " << (ba ? "yes" : "no") << "\n";
     if (ab && !ba) out << "a ◁ b (b is the better answer)\n";
@@ -238,58 +241,14 @@ StatusOr<std::string> RunCommand(SessionState* session,
     if (ab && ba) out << "equal support\n";
     if (!ab && !ba) out << "incomparable\n";
   } else if (command == "fd") {
-    std::stringstream arg_stream(args);
-    std::string relation;
-    std::size_t arity = 0;
-    std::string lhs_text;
-    std::size_t rhs = 0;
-    arg_stream >> relation >> arity >> lhs_text >> rhs;
-    if (relation.empty() || arity == 0) {
-      return Status::Error("usage: fd <R> <arity> <l1,l2,..> <rhs>");
-    }
-    ZO_ASSIGN_OR_RETURN(std::vector<std::size_t> lhs,
-                        ParsePositions(lhs_text));
-    if (rhs >= arity) {
-      return Status::Error("fd rhs position ", rhs, " out of range for arity ",
-                           arity);
-    }
-    for (std::size_t p : lhs) {
-      if (p >= arity) {
-        return Status::Error("fd lhs position ", p, " out of range for arity ",
-                             arity);
-      }
-    }
-    FunctionalDependency fd(relation, arity, lhs, rhs);
+    ZO_ASSIGN_OR_RETURN(FunctionalDependency fd, ParseFdArgs(args));
     session->fds.push_back(fd);
     session->constraints.push_back(std::make_shared<FunctionalDependency>(fd));
     *mutated = true;
     out << "added " << fd.ToString();
   } else if (command == "ind") {
-    std::stringstream arg_stream(args);
-    std::string from, to, from_pos, to_pos;
-    std::size_t from_arity = 0, to_arity = 0;
-    arg_stream >> from >> from_arity >> from_pos >> to >> to_arity >> to_pos;
-    if (from.empty() || to.empty() || from_arity == 0 || to_arity == 0) {
-      return Status::Error(
-          "usage: ind <R> <arity> <pos,..> <S> <arity> <pos,..>");
-    }
-    ZO_ASSIGN_OR_RETURN(std::vector<std::size_t> fp,
-                        ParsePositions(from_pos));
-    ZO_ASSIGN_OR_RETURN(std::vector<std::size_t> tp, ParsePositions(to_pos));
-    for (std::size_t p : fp) {
-      if (p >= from_arity) {
-        return Status::Error("ind position ", p, " out of range for arity ",
-                             from_arity);
-      }
-    }
-    for (std::size_t p : tp) {
-      if (p >= to_arity) {
-        return Status::Error("ind position ", p, " out of range for arity ",
-                             to_arity);
-      }
-    }
-    auto ind = std::make_shared<InclusionDependency>(from, from_arity, fp, to,
-                                                     to_arity, tp);
+    ZO_ASSIGN_OR_RETURN(std::shared_ptr<InclusionDependency> ind,
+                        ParseIndArgs(args));
     out << "added " << ind->ToString();
     session->constraints.push_back(std::move(ind));
     *mutated = true;
@@ -309,8 +268,10 @@ StatusOr<std::string> RunCommand(SessionState* session,
   } else if (command == "cond") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
     ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTupleArg(*session, args));
-    ConditionalMeasure result = ComputeConditionalMu(
-        session->query, session->constraints, session->db, tuple);
+    ZO_ASSIGN_OR_RETURN(ExactConditional result,
+                        ExactConditionalMu(session->query,
+                                           session->constraints, session->db,
+                                           tuple));
     out << "mu(Q|Sigma) = " << result.value.ToString();
     if (!result.sigma_satisfiable) out << "   (Sigma unsatisfiable)";
   } else if (command == "chase") {
@@ -668,6 +629,19 @@ Response Dispatcher::Execute(const Request& request) {
         return response;
       }
       response.payload = ExplainQueryPlan(session->query, session->db);
+      ExactCommand exact;
+      if (ParseExactCommand(request.command, &exact)) {
+        StatusOr<std::vector<Tuple>> tuples =
+            ExactTupleArgs(*session, exact, request.args);
+        if (!tuples.ok()) {
+          response.status = WireStatus::kErr;
+          response.payload = tuples.status().message();
+          return response;
+        }
+        response.payload +=
+            ExplainExactPlan(exact, session->query, session->constraints,
+                             session->db, tuples.value());
+      }
       return response;
     }
     if (request.command == "dlog") {

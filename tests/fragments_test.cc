@@ -51,7 +51,15 @@ TEST(FragmentsTest, PosForallGuardedClassification) {
       *F(":= forall x . E(x, x) -> R(x)")));  // Repeated variable in guard.
   // Guarded implication whose conclusion is itself guarded.
   EXPECT_TRUE(IsPosForallGuarded(
+      *F(":= forall x . U(x) -> (forall y . E(y) -> R(x, y))")));
+  // A guard may not mention a variable bound further out, or a constant:
+  // on D = {U(⊥), E(c, d)} the first is naïvely true but ⊥ ↦ c falsifies
+  // it, so Corollary 3 does not cover it.
+  EXPECT_FALSE(IsPosForallGuarded(
       *F(":= forall x . U(x) -> (forall y . E(x, y) -> R(y))")));
+  EXPECT_FALSE(IsPosForallGuarded(
+      *F("Q(x) := U(x) & forall y . R(y, x) -> S(y, y)")));
+  EXPECT_FALSE(IsPosForallGuarded(*F(":= forall y . E(c, y) -> R(y)")));
 }
 
 TEST(FragmentsTest, NormalizeSimpleCq) {

@@ -87,6 +87,45 @@ TEST(RandomQueryTest, FoGeneratorUsesNegation) {
   EXPECT_FALSE(IsUnionOfConjunctive(*fo.formula()));
 }
 
+// Walks the formula and records whether it holds a guarded ∀ (a ∀ over an
+// implication) and an unguarded one.
+void FindForalls(const Formula& f, bool* guarded, bool* unguarded) {
+  if (f.kind() == Formula::Kind::kForall) {
+    const Formula* body = &f;
+    while (body->kind() == Formula::Kind::kForall) {
+      body = body->children()[0].get();
+    }
+    (body->kind() == Formula::Kind::kImplies ? *guarded : *unguarded) = true;
+  }
+  for (const FormulaPtr& child : f.children()) {
+    FindForalls(*child, guarded, unguarded);
+  }
+}
+
+TEST(RandomQueryTest, PosForallGuardedEmitsTopLevelAndGuardedForall) {
+  RandomQueryOptions options;
+  options.relations = {{"R", 2}, {"S", 2}, {"U", 1}};
+  bool top_level = false, guarded = false, unguarded = false;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    options.seed = seed;
+    options.free_variables = seed % 2;
+    Query q = GenerateRandomPosForallGuarded(options, 0.5);
+    EXPECT_EQ(q.ToString(), GenerateRandomPosForallGuarded(options, 0.5)
+                                .ToString());
+    EXPECT_EQ(q.arity(), seed % 2);
+    EXPECT_TRUE(IsPosForallGuarded(*q.formula())) << q.ToString();
+    top_level = top_level || q.formula()->kind() == Formula::Kind::kForall;
+    FindForalls(*q.formula(), &guarded, &unguarded);
+  }
+  EXPECT_TRUE(top_level);
+  EXPECT_TRUE(guarded);
+  EXPECT_TRUE(unguarded);
+  // Without ∀ it is a plain UCQ.
+  options.seed = 3;
+  EXPECT_TRUE(IsUnionOfConjunctive(
+      *GenerateRandomPosForallGuarded(options, 0.0).formula()));
+}
+
 TEST(ScenariosTest, ScaledIntroShape) {
   IntroExample example = ScaledIntroExample(10, 3, 0.5, 21);
   EXPECT_EQ(example.db.relation("R1").size(), 30u);

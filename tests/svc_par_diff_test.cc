@@ -44,6 +44,8 @@ constexpr const char* kDb =
     "R(2) = { (c1, _1), (c2, _2), (c3, c1), (c4, c2) }";
 constexpr const char* kQuery = "Q(x) := exists y . R(x, y)";
 constexpr const char* kJoinQuery = "Q(x) := exists y . R(x, y) & R(y, x)";
+constexpr const char* kBooleanQuery =
+    "Q() := exists x . exists y . R(x, y) & R(y, x)";
 // Five nulls over an 8-constant enumeration: tens of thousands of
 // valuations, comfortably heavier than a millisecond — the deadline test
 // relies on that.
@@ -153,16 +155,21 @@ std::vector<std::string> RunTranscript(std::size_t par_threads,
     client.Connect(server.port());
     Roundtrip(client, transcript, Req("db", kDb));
     Roundtrip(client, transcript, Req("query", kQuery));
+    // An FD, so `cond` takes the chase (Theorem 5) path.
+    Roundtrip(client, transcript, Req("fd", "R 2 0 1"));
     Roundtrip(client, transcript, Req("db", kDb, "mu"));
     Roundtrip(client, transcript, Req("query", kQuery, "mu"));
 
     // Seeded random script, one request outstanding at a time; `muk` runs
     // against the immutable "mu" session, everything else against
-    // "default" (whose inserts keep invalidating cached plans).
+    // "default" (whose inserts keep invalidating cached plans). `certain`,
+    // `best` and `cond` run the exact plans' theorem paths; the query
+    // switches among two unary queries and a Boolean one.
     std::mt19937 rng(seed);
     int insert_counter = 0;
-    for (int i = 0; i < 30; ++i) {
-      std::uint32_t choice = static_cast<std::uint32_t>(rng()) % 10;
+    bool boolean_query = false;
+    for (int i = 0; i < 40; ++i) {
+      std::uint32_t choice = static_cast<std::uint32_t>(rng()) % 13;
       Request request;
       switch (choice) {
         case 0:
@@ -180,17 +187,29 @@ std::vector<std::string> RunTranscript(std::size_t par_threads,
           request = Req("db", StrCat("R(2) = { (k", insert_counter, ", v",
                                      insert_counter, ") }"));
           break;
-        case 5:
-          request = Req("query",
-                        static_cast<std::uint32_t>(rng()) % 2 == 0
-                            ? kQuery
-                            : kJoinQuery);
+        case 5: {
+          const char* const queries[] = {kQuery, kJoinQuery, kBooleanQuery};
+          const char* query = queries[static_cast<std::uint32_t>(rng()) % 3];
+          boolean_query = query == kBooleanQuery;
+          request = Req("query", query);
           break;
+        }
         case 6:
           request = Req("mu", "(c1)", "mu");
           break;
-        default:
+        case 7:
+        case 8:
           request = Req("muk", "6 (c1)", "mu");  // The parallel hot path.
+          break;
+        case 9:
+          request = Req("best");
+          break;
+        case 10:
+        case 11:
+          request = Req("cond", boolean_query ? "()" : "(c1)");
+          break;
+        default:
+          request = Req("naive");
           break;
       }
       request.id = StrCat("id", i);
@@ -199,6 +218,14 @@ std::vector<std::string> RunTranscript(std::size_t par_threads,
       }
       Roundtrip(client, transcript, request);
     }
+    // A fixed tail, so every seed serves the Boolean query through each
+    // read path whatever the random script chose.
+    Roundtrip(client, transcript, Req("query", kBooleanQuery));
+    for (const char* command :
+         {"naive", "certain", "possible", "best", "bestmu"}) {
+      Roundtrip(client, transcript, Req(command));
+    }
+    Roundtrip(client, transcript, Req("cond", "()"));
   }
 
   server.Shutdown();
@@ -222,6 +249,8 @@ TEST_P(SvcParDiffTest, SerialAndParallelTranscriptsAreByteIdentical) {
     return false;
   };
   EXPECT_TRUE(contains("ZO1 OK"));
+  EXPECT_TRUE(contains("mu(Q|Sigma) = "));
+  EXPECT_FALSE(contains("ZO1 ERR"));
   EXPECT_FALSE(contains("<<frame error"));
   EXPECT_FALSE(contains("<<eof"));
 }

@@ -129,8 +129,11 @@ std::vector<std::string> RunTranscript(plan::PlanMode mode,
     client.Connect(server.port());
     Roundtrip(client, transcript, Req("db", kDb));
     Roundtrip(client, transcript, Req("query", kQuery));
+    Roundtrip(client, transcript, Req("fd", "R 2 0 1"));
 
     // Seeded random read/mutate script, one request outstanding at a time.
+    // `certain` runs the enumerator under kInterpret and naïve evaluation
+    // (Corollary 3) under kCompiled, so its frames cross-check the two.
     std::mt19937 rng(seed);
     int insert_counter = 0;
     for (int i = 0; i < 40; ++i) {
@@ -159,10 +162,14 @@ std::vector<std::string> RunTranscript(plan::PlanMode mode,
                             ? kQuery
                             : kJoinQuery);
           break;
-        case 7:
-          request = Req("naive");
+        case 7: {
+          // The exact commands' explain frames end with the exact-plan
+          // line, which must not depend on the plan mode either.
+          const char* const explained[] = {"naive", "certain", "best", "cond"};
+          request = Req(explained[i % 4], i % 4 == 3 ? "(c1)" : "");
           request.explain = true;
           break;
+        }
         default:
           request = Req("mu", "(c1)");
           break;
@@ -173,6 +180,11 @@ std::vector<std::string> RunTranscript(plan::PlanMode mode,
       }
       Roundtrip(client, transcript, request);
     }
+    // The remaining exact commands, on whichever unary query is current.
+    Roundtrip(client, transcript, Req("best"));
+    Roundtrip(client, transcript, Req("bestmu"));
+    Roundtrip(client, transcript, Req("cond", "(c1)"));
+    Roundtrip(client, transcript, Req("compare", "(c1) (c3)"));
   }
 
   server.Shutdown();
@@ -201,6 +213,8 @@ TEST_P(SvcPlanDiffTest, InterpretedAndCompiledTranscriptsAreByteIdentical) {
   };
   EXPECT_TRUE(contains("ZO1 OK"));
   EXPECT_TRUE(contains("plan [enumerate]"));  // @explain=1 frames answered.
+  EXPECT_TRUE(contains("mu(Q|Sigma) = "));
+  EXPECT_FALSE(contains("ZO1 ERR"));
   EXPECT_FALSE(contains("<<frame error"));
   EXPECT_FALSE(contains("<<eof"));
 }

@@ -33,7 +33,8 @@ namespace zeroone {
 namespace svc {
 namespace {
 
-// A small incomplete database: `certain` over it takes ~10-30ms (4 nulls).
+// A small incomplete database: `certain` with kSlowQuery over it takes
+// ~10-30ms (4 nulls).
 constexpr const char* kFastDb =
     "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4) }";
 // With 5 nulls the same query takes several hundred ms — long enough that
@@ -42,6 +43,10 @@ constexpr const char* kFastDb =
 constexpr const char* kSlowDb =
     "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4), (c5, _5) }";
 constexpr const char* kQuery = "Q(x) := exists y . R(x, y)";
+// kQuery behind a double negation: the same answers, but outside Pos∀G and
+// the UCQs, so `certain` still runs the exponential enumerator instead of
+// naïve evaluation (core/exact_plan.h) — the slow work these tests need.
+constexpr const char* kSlowQuery = "Q(x) := !(!(exists y . R(x, y)))";
 
 Request MakeRequest(const std::string& command, const std::string& args = "",
                     const std::string& session = "default") {
@@ -322,11 +327,12 @@ class ServerTest : public ::testing::Test {
 
   // Runs the session preamble (db + query) through `client`.
   void Preamble(BlockingClient& client, const std::string& db,
+                const std::string& query = kQuery,
                 const std::string& session = "default") {
     StatusOr<Response> r = client.Call(MakeRequest("db", db, session));
     ASSERT_TRUE(r.ok()) << r.status().message();
     ASSERT_EQ(r->status, WireStatus::kOk) << r->payload;
-    r = client.Call(MakeRequest("query", kQuery, session));
+    r = client.Call(MakeRequest("query", query, session));
     ASSERT_TRUE(r.ok()) << r.status().message();
     ASSERT_EQ(r->status, WireStatus::kOk) << r->payload;
   }
@@ -408,7 +414,7 @@ TEST_F(ServerTest, FullQueueYieldsOverloaded) {
   StartServer(options);
   {
     BlockingClient setup = Connect();
-    Preamble(setup, kSlowDb);
+    Preamble(setup, kSlowDb, kSlowQuery);
   }
 
   // Pipeline a burst of slow, uncacheable requests on one connection. The
@@ -450,7 +456,7 @@ TEST_F(ServerTest, FullQueueYieldsOverloaded) {
 TEST_F(ServerTest, ExpiredDeadlineYieldsDeadlineExceeded) {
   StartServer(ServerOptions{});
   BlockingClient client = Connect();
-  Preamble(client, kSlowDb);
+  Preamble(client, kSlowDb, kSlowQuery);
 
   Request request = MakeRequest("certain");
   request.deadline_ms = 30;  // Far below the ~0.5s evaluation time.
@@ -480,7 +486,7 @@ TEST_F(ServerTest, DeadlineCoversQueueTime) {
   options.queue_capacity = 4;
   StartServer(options);
   BlockingClient client = Connect();
-  Preamble(client, kSlowDb);
+  Preamble(client, kSlowDb, kSlowQuery);
 
   Request slow = MakeRequest("certain");
   slow.id = "1";
@@ -508,7 +514,7 @@ TEST_F(ServerTest, DrainFinishesInFlightRequests) {
   options.threads = 2;
   StartServer(options);
   BlockingClient client = Connect();
-  Preamble(client, kSlowDb);
+  Preamble(client, kSlowDb, kSlowQuery);
 
   Request slow = MakeRequest("certain");
   slow.no_cache = true;
@@ -541,7 +547,7 @@ TEST_F(ServerTest, PipelinedResponsesArriveInOrder) {
   options.threads = 4;
   StartServer(options);
   BlockingClient client = Connect();
-  Preamble(client, kFastDb);
+  Preamble(client, kFastDb, kSlowQuery);
 
   const char* ids[] = {"10", "11", "12", "13"};
   Request slow = MakeRequest("certain");

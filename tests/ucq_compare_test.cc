@@ -5,9 +5,11 @@
 #include <algorithm>
 
 #include "core/comparison.h"
+#include "core/measure.h"
 #include "data/io.h"
 #include "gen/random_db.h"
 #include "gen/random_query.h"
+#include "obs/metrics.h"
 #include "query/parser.h"
 
 namespace zeroone {
@@ -158,6 +160,30 @@ TEST_P(UcqBestAgreement, MatchesGenericBest) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UcqBestAgreement, ::testing::Range(0, 20));
+
+#if ZEROONE_OBS_ENABLED
+// Fresh constants stay interned for the life of the process, so one best
+// computation mints one pool — |Null(D)| plus the most nulls in any
+// candidate — not one per candidate pair.
+TEST(UcqCompareTest, BestAnswersMintsOneFreshPoolPerCall) {
+  Database db = Db("R(2) = { (a, _f1), (_f1, b), (c, _f2), (_f3, a) } "
+                   "S(1) = { (b), (_f2) }");
+  Query q = Q("Q(x) := exists y . R(x, y) & S(y)");
+  std::size_t max_candidate_nulls = 0;
+  std::vector<Tuple> candidates = AllTuplesOverAdom(db, q.arity());
+  for (const Tuple& t : candidates) {
+    max_candidate_nulls = std::max(max_candidate_nulls, t.Nulls().size());
+  }
+  ASSERT_GT(candidates.size(), 4u);
+  obs::Counter& fresh =
+      obs::Registry::Global().GetCounter("data.fresh_constants");
+  const std::uint64_t before = fresh.value();
+  StatusOr<std::vector<Tuple>> best = UcqBestAnswers(q, db);
+  ASSERT_TRUE(best.ok()) << best.status().message();
+  EXPECT_LE(fresh.value() - before, db.Nulls().size() + max_candidate_nulls);
+  EXPECT_GT(fresh.value(), before);
+}
+#endif
 
 TEST(UcqCompareTest, BestMuSubsetOfBest) {
   Database db = Db("R(2) = { (1, _m1), (2, _m2) } S(2) = { (1, _m2) }");

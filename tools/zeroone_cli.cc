@@ -11,7 +11,8 @@
 //   show                    print the current database
 //   query <text>            set the current query (ParseQuery syntax)
 //   naive                   naive answers (= almost certainly true, Thm 1)
-//   certain                 certain answers (exact, exponential in nulls)
+//   certain                 certain answers (exact; core/exact_plan.h picks
+//                           the algorithm)
 //   possible                possible answers
 //   best                    Best(Q,D) — support-maximal answers
 //   bestmu                  Best_µ(Q,D) — best ∩ almost certainly true
@@ -50,8 +51,8 @@
 #include "algebra/ra_parser.h"
 #include "constraints/fd.h"
 #include "constraints/ind.h"
-#include "core/comparison.h"
-#include "core/conditional.h"
+#include "constraints/parse.h"
+#include "core/exact_plan.h"
 #include "core/measure.h"
 #include "core/support.h"
 #include "core/support_polynomial.h"
@@ -112,24 +113,40 @@ StatusOr<Tuple> ParseTupleArg(const Session& session,
   return tuple;
 }
 
-// Splits a comma list of numbers, e.g. "0,2".
-StatusOr<std::vector<std::size_t>> ParsePositions(const std::string& text) {
-  std::vector<std::size_t> positions;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) return Status::Error("empty position in '" + text + "'");
-    std::size_t value = 0;
-    for (char c : item) {
-      if (c < '0' || c > '9') {
-        return Status::Error("bad position list '" + text + "'");
-      }
-      value = value * 10 + static_cast<std::size_t>(c - '0');
+// `compare`'s two tuples: "(t1) (t2)", split at the first ')'.
+bool ParseCompareArgs(const Session& session, const std::string& text,
+                      std::vector<Tuple>* pair) {
+  std::size_t split = text.find(')');
+  if (split == std::string::npos) return false;
+  StatusOr<Tuple> a = ParseTupleArg(session, text.substr(0, split + 1));
+  StatusOr<Tuple> b = ParseTupleArg(session, text.substr(split + 1));
+  if (!a.ok() || !b.ok()) return false;
+  *pair = {*a, *b};
+  return true;
+}
+
+// --explain's line naming the exact algorithm (core/exact_plan.h) for an
+// exact command, or an error on bad tuple arguments.
+void PrintExactPlan(const Session& session, const std::string& command,
+                    const std::string& args) {
+  ExactCommand exact;
+  if (!ParseExactCommand(command, &exact)) return;
+  std::vector<Tuple> tuples;
+  if (exact == ExactCommand::kCompare) {
+    if (!ParseCompareArgs(session, args, &tuples)) {
+      std::cout << "usage: compare (t1) (t2)\n";
+      return;
     }
-    positions.push_back(value);
+  } else if (exact == ExactCommand::kCond) {
+    StatusOr<Tuple> tuple = ParseTupleArg(session, args);
+    if (!tuple.ok()) {
+      std::cout << "error: " << tuple.status().message() << "\n";
+      return;
+    }
+    tuples.push_back(*tuple);
   }
-  if (positions.empty()) return Status::Error("empty position list");
-  return positions;
+  std::cout << ExplainExactPlan(exact, session.query, session.constraints,
+                                session.db, tuples);
 }
 
 void Handle(Session* session, const std::string& line) {
@@ -144,6 +161,7 @@ void Handle(Session* session, const std::string& line) {
   if (session->explain && IsEvalCommand(command)) {
     if (!RequireQuery(*session)) return;
     std::cout << ExplainQueryPlan(session->query, session->db);
+    PrintExactPlan(*session, command, rest);
     return;
   }
   if (session->explain && command == "dlog") {
@@ -207,16 +225,16 @@ void Handle(Session* session, const std::string& line) {
     PrintTuples(NaiveEvaluate(session->query, session->db));
   } else if (command == "certain") {
     if (!RequireQuery(*session)) return;
-    PrintTuples(CertainAnswers(session->query, session->db));
+    PrintTuples(ExactCertainAnswers(session->query, session->db));
   } else if (command == "possible") {
     if (!RequireQuery(*session)) return;
     PrintTuples(PossibleAnswers(session->query, session->db));
   } else if (command == "best") {
     if (!RequireQuery(*session)) return;
-    PrintTuples(BestAnswers(session->query, session->db));
+    PrintTuples(ExactBestAnswers(session->query, session->db));
   } else if (command == "bestmu") {
     if (!RequireQuery(*session)) return;
-    PrintTuples(BestMuAnswers(session->query, session->db));
+    PrintTuples(ExactBestMuAnswers(session->query, session->db));
   } else if (command == "mu") {
     if (!RequireQuery(*session)) return;
     StatusOr<Tuple> tuple = ParseTupleArg(*session, rest);
@@ -262,20 +280,15 @@ void Handle(Session* session, const std::string& line) {
               << TotalCountPolynomial(session->db).ToString() << ")\n";
   } else if (command == "compare") {
     if (!RequireQuery(*session)) return;
-    // Two tuples: split at the closing parenthesis.
-    std::size_t split = rest.find(')');
-    if (split == std::string::npos) {
+    std::vector<Tuple> pair;
+    if (!ParseCompareArgs(*session, rest, &pair)) {
       std::cout << "usage: compare (t1) (t2)\n";
       return;
     }
-    StatusOr<Tuple> a = ParseTupleArg(*session, rest.substr(0, split + 1));
-    StatusOr<Tuple> b = ParseTupleArg(*session, rest.substr(split + 1));
-    if (!a.ok() || !b.ok()) {
-      std::cout << "usage: compare (t1) (t2)\n";
-      return;
-    }
-    bool ab = WeaklyDominated(session->query, session->db, *a, *b);
-    bool ba = WeaklyDominated(session->query, session->db, *b, *a);
+    SupportOrder order =
+        ExactCompare(session->query, session->db, pair[0], pair[1]);
+    bool ab = order.a_in_b;
+    bool ba = order.b_in_a;
     std::cout << "Supp(a) ⊆ Supp(b): " << (ab ? "yes" : "no")
               << "; Supp(b) ⊆ Supp(a): " << (ba ? "yes" : "no") << "\n";
     if (ab && !ba) std::cout << "a ◁ b (b is the better answer)\n";
@@ -283,37 +296,23 @@ void Handle(Session* session, const std::string& line) {
     if (ab && ba) std::cout << "equal support\n";
     if (!ab && !ba) std::cout << "incomparable\n";
   } else if (command == "fd") {
-    std::stringstream args(rest);
-    std::string relation;
-    std::size_t arity = 0;
-    std::string lhs_text;
-    std::size_t rhs = 0;
-    args >> relation >> arity >> lhs_text >> rhs;
-    StatusOr<std::vector<std::size_t>> lhs = ParsePositions(lhs_text);
-    if (relation.empty() || arity == 0 || !lhs.ok()) {
-      std::cout << "usage: fd <R> <arity> <l1,l2,..> <rhs>\n";
+    StatusOr<FunctionalDependency> fd = ParseFdArgs(rest);
+    if (!fd.ok()) {
+      std::cout << "error: " << fd.status().message() << "\n";
       return;
     }
-    FunctionalDependency fd(relation, arity, *lhs, rhs);
-    session->fds.push_back(fd);
+    session->fds.push_back(*fd);
     session->constraints.push_back(
-        std::make_shared<FunctionalDependency>(fd));
-    std::cout << "added " << fd.ToString() << "\n";
+        std::make_shared<FunctionalDependency>(*fd));
+    std::cout << "added " << fd->ToString() << "\n";
   } else if (command == "ind") {
-    std::stringstream args(rest);
-    std::string from, to, from_pos, to_pos;
-    std::size_t from_arity = 0, to_arity = 0;
-    args >> from >> from_arity >> from_pos >> to >> to_arity >> to_pos;
-    StatusOr<std::vector<std::size_t>> fp = ParsePositions(from_pos);
-    StatusOr<std::vector<std::size_t>> tp = ParsePositions(to_pos);
-    if (from.empty() || to.empty() || !fp.ok() || !tp.ok()) {
-      std::cout << "usage: ind <R> <arity> <pos,..> <S> <arity> <pos,..>\n";
+    StatusOr<std::shared_ptr<InclusionDependency>> ind = ParseIndArgs(rest);
+    if (!ind.ok()) {
+      std::cout << "error: " << ind.status().message() << "\n";
       return;
     }
-    auto ind = std::make_shared<InclusionDependency>(from, from_arity, *fp,
-                                                     to, to_arity, *tp);
-    std::cout << "added " << ind->ToString() << "\n";
-    session->constraints.push_back(std::move(ind));
+    std::cout << "added " << (*ind)->ToString() << "\n";
+    session->constraints.push_back(std::move(*ind));
   } else if (command == "constraints") {
     if (session->constraints.empty()) std::cout << "  (none)\n";
     for (const ConstraintPtr& c : session->constraints) {
@@ -329,10 +328,14 @@ void Handle(Session* session, const std::string& line) {
       std::cout << "error: " << tuple.status().message() << "\n";
       return;
     }
-    ConditionalMeasure result = ComputeConditionalMu(
+    StatusOr<ExactConditional> result = ExactConditionalMu(
         session->query, session->constraints, session->db, *tuple);
-    std::cout << "mu(Q|Sigma) = " << result.value.ToString();
-    if (!result.sigma_satisfiable) std::cout << "   (Sigma unsatisfiable)";
+    if (!result.ok()) {
+      std::cout << "error: " << result.status().message() << "\n";
+      return;
+    }
+    std::cout << "mu(Q|Sigma) = " << result->value.ToString();
+    if (!result->sigma_satisfiable) std::cout << "   (Sigma unsatisfiable)";
     std::cout << "\n";
   } else if (command == "chase") {
     ChaseResult result = ChaseFds(session->fds, session->db);
