@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 #include <utility>
 
 #include "constraints/fd.h"
@@ -13,6 +14,7 @@
 #include "plan/mode.h"
 #include "query/eval.h"
 #include "query/fragments.h"
+#include "query/parser.h"
 
 namespace zeroone {
 
@@ -50,18 +52,6 @@ bool FdsOnly(const ConstraintSet& constraints,
   return true;
 }
 
-ExactAlgorithm ChooseCond(const Query& query, const ConstraintSet& constraints,
-                          const Database& db, const Tuple& tuple) {
-  if (FormulaHasNulls(query) || !TupleNullsInDatabase(db, {tuple})) {
-    return ExactAlgorithm::kEnumerator;
-  }
-  if (FdsOnly(constraints, nullptr)) return ExactAlgorithm::kChase;
-  if (MuLimit(ConstraintSetQuery(constraints), db) == 1) {
-    return ExactAlgorithm::kSigmaNaive;
-  }
-  return ExactAlgorithm::kEnumerator;
-}
-
 void Count(ExactAlgorithm algorithm) {
   switch (algorithm) {
     case ExactAlgorithm::kEnumerator:
@@ -73,18 +63,13 @@ void Count(ExactAlgorithm algorithm) {
     case ExactAlgorithm::kChase:
       ZO_COUNTER_INC("core.exact.chase");
       break;
-    case ExactAlgorithm::kSigmaNaive:
-      ZO_COUNTER_INC("core.exact.sigma_naive");
-      break;
     case ExactAlgorithm::kUcq:
       ZO_COUNTER_INC("core.exact.ucq");
       break;
   }
 }
 
-// The choice with the oracle gate applied. The gate comes first, so the
-// interpreting reference path skips even the choice's own work (Theorem
-// 4's Σ^naive check).
+// The choice with the oracle gate applied.
 ExactAlgorithm Plan(ExactCommand command, const Query& query,
                     const ConstraintSet& constraints, const Database& db,
                     const std::vector<Tuple>& tuples, ExactAlgorithm* used) {
@@ -129,8 +114,6 @@ const char* ExactAlgorithmName(ExactAlgorithm algorithm) {
       return "naive";
     case ExactAlgorithm::kChase:
       return "chase";
-    case ExactAlgorithm::kSigmaNaive:
-      return "sigma_naive";
     case ExactAlgorithm::kUcq:
       return "ucq";
   }
@@ -145,8 +128,6 @@ const char* ExactAlgorithmTheorem(ExactAlgorithm algorithm) {
       return "Corollary 3";
     case ExactAlgorithm::kChase:
       return "Theorem 5";
-    case ExactAlgorithm::kSigmaNaive:
-      return "Theorem 4";
     case ExactAlgorithm::kUcq:
       return "Theorem 8";
   }
@@ -157,24 +138,51 @@ ExactAlgorithm ChooseExactAlgorithm(ExactCommand command, const Query& query,
                                     const ConstraintSet& constraints,
                                     const Database& db,
                                     const std::vector<Tuple>& tuples) {
+  if (FormulaHasNulls(query) || !TupleNullsInDatabase(db, tuples)) {
+    return ExactAlgorithm::kEnumerator;
+  }
+  const Formula& formula = *query.formula();
   switch (command) {
     case ExactCommand::kCertain:
-      return !FormulaHasNulls(query) && IsPosForallGuarded(*query.formula())
-                 ? ExactAlgorithm::kNaive
-                 : ExactAlgorithm::kEnumerator;
+      return IsPosForallGuarded(formula) ? ExactAlgorithm::kNaive
+                                         : ExactAlgorithm::kEnumerator;
     case ExactCommand::kCond:
-      assert(tuples.size() == 1);
-      return ChooseCond(query, constraints, db, tuples[0]);
+      return FdsOnly(constraints, nullptr) ? ExactAlgorithm::kChase
+                                           : ExactAlgorithm::kEnumerator;
     case ExactCommand::kBest:
     case ExactCommand::kBestMu:
     case ExactCommand::kCompare:
-      return !FormulaHasNulls(query) &&
-                     IsUnionOfConjunctive(*query.formula()) &&
-                     TupleNullsInDatabase(db, tuples)
+      return IsUnionOfConjunctive(formula) &&
+                     UcqDisjunctCount(formula, kMaxUcqDisjuncts + 1) <=
+                         kMaxUcqDisjuncts
                  ? ExactAlgorithm::kUcq
                  : ExactAlgorithm::kEnumerator;
   }
   return ExactAlgorithm::kEnumerator;
+}
+
+StatusOr<std::vector<Tuple>> ParseExactTuples(ExactCommand command,
+                                              const Query& query,
+                                              const std::string& args) {
+  std::vector<Tuple> tuples;
+  std::string_view rest = args;
+  if (command == ExactCommand::kCompare) {
+    // "(t1) (t2)", split at the first ')'.
+    std::size_t split = rest.find(')');
+    if (split == std::string_view::npos) {
+      return Status::Error("usage: compare (t1) (t2)");
+    }
+    StatusOr<Tuple> first = ParseAnswerTuple(query, rest.substr(0, split + 1));
+    if (!first.ok()) return first.status();
+    tuples.push_back(std::move(first).value());
+    rest = rest.substr(split + 1);
+  }
+  if (command == ExactCommand::kCompare || command == ExactCommand::kCond) {
+    StatusOr<Tuple> last = ParseAnswerTuple(query, rest);
+    if (!last.ok()) return last.status();
+    tuples.push_back(std::move(last).value());
+  }
+  return tuples;
 }
 
 std::string ExplainExactPlan(ExactCommand command, const Query& query,
@@ -247,11 +255,6 @@ StatusOr<ExactConditional> ExactConditionalMu(
       result.value = Rational(MuLimitAfterChase(query, chase, tuple));
       return result;
     }
-    case ExactAlgorithm::kSigmaNaive:
-      // Σ^naive(D) holds, so µ(Σ,D) = 1 and Σ is satisfiable.
-      result.sigma_satisfiable = true;
-      result.value = Rational(MuLimit(query, db, tuple));
-      return result;
     default: {
       ConditionalMeasure measure =
           ComputeConditionalMu(query, constraints, db, tuple);

@@ -1,6 +1,7 @@
 #ifndef ZEROONE_CORE_EXACT_PLAN_H_
 #define ZEROONE_CORE_EXACT_PLAN_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -21,14 +22,15 @@ namespace zeroone {
 //   command                 applies when        algorithm
 //   certain                 Q ∈ Pos∀G           naive (Cor. 3)
 //   cond                    Σ only FDs          chase (Thm. 5)
-//   cond                    Σ^naive(D) holds    sigma_naive (Thm. 4)
 //   best, bestmu, compare   Q a UCQ             ucq (Thm. 8, Prop. 8)
 //
 // Every fast path additionally needs a query formula without nulls, and
 // `cond` and `compare` need their tuples to be made of constants and nulls
-// of D. Everything else runs the generic enumerators (CertainAnswers,
-// ComputeConditionalMu, BestAnswers, BestMuAnswers, WeaklyDominated), which
-// stay the definitional oracle. The choice is made per request, never when
+// of D. The UCQ path also needs a DNF of at most kMaxUcqDisjuncts clauses:
+// normalizing distributes ∧ over ∨, exponentially in the query. Everything
+// else runs the generic enumerators (CertainAnswers, ComputeConditionalMu,
+// BestAnswers, BestMuAnswers, WeaklyDominated), which stay the definitional
+// oracle. The choice is made per request, never when
 // the query is set.
 //
 // Oracle gate: under plan::PlanMode::kInterpret every request runs the
@@ -43,7 +45,6 @@ enum class ExactAlgorithm {
   kEnumerator,  // The generic enumerators (definitions, exponential).
   kNaive,       // Corollary 3: naïve evaluation.
   kChase,       // Theorem 5: chase with the FDs, then MuLimit.
-  kSigmaNaive,  // Theorem 4: Σ^naive(D) holds, so µ(Q|Σ) = µ(Q).
   kUcq,         // Theorem 8 / Proposition 8: small-witness Sep search.
 };
 
@@ -51,15 +52,25 @@ enum class ExactAlgorithm {
 // outside this layer.
 bool ParseExactCommand(const std::string& name, ExactCommand* command);
 
-// "enumerator", "naive", "chase", "sigma_naive", "ucq": the suffix of the
-// core.exact.* counter and the name in the explain line.
+// "enumerator", "naive", "chase", "ucq": the suffix of the core.exact.*
+// counter and the name in the explain line.
 const char* ExactAlgorithmName(ExactAlgorithm algorithm);
 // The result that justifies the algorithm, e.g. "Corollary 3".
 const char* ExactAlgorithmTheorem(ExactAlgorithm algorithm);
 
+// The largest DNF the UCQ path builds; larger UCQs run the enumerators.
+constexpr std::size_t kMaxUcqDisjuncts = 64;
+
+// The request's tuple arguments, each of the query's arity: one tuple for
+// cond, "(t1) (t2)" for compare, none for the other commands. Both front
+// ends parse exact requests with it, to run them and to explain them.
+StatusOr<std::vector<Tuple>> ParseExactTuples(ExactCommand command,
+                                              const Query& query,
+                                              const std::string& args);
+
 // The algorithm a theorem justifies for the request, from the command,
-// query, Σ, D and the request's tuples (one for cond, two for compare,
-// none otherwise) alone; independent of the plan mode.
+// query, Σ, D and the request's ParseExactTuples tuples alone; independent
+// of the plan mode.
 ExactAlgorithm ChooseExactAlgorithm(ExactCommand command, const Query& query,
                                     const ConstraintSet& constraints,
                                     const Database& db,

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 
+#include "common/cancel.h"
 #include "core/measure.h"
 #include "data/valuation.h"
 #include "query/fragments.h"
@@ -185,6 +186,9 @@ bool MatchAtoms(const SeparationContext& context, const Tuple& b,
   if (!context.db->HasRelation(atom.relation)) return false;
   const Relation& relation = context.db->relation(atom.relation);
   for (Relation::Row tuple : relation) {
+    // Cooperative cancellation: a cancelled search reports "no witness";
+    // the token's installer discards the result.
+    if (CancellationRequested()) return false;
     if (tuple.arity() != atom.terms.size()) continue;
     std::size_t mark = unifier->Mark();
     std::size_t nulls_before = domain_nulls->size();
@@ -306,6 +310,8 @@ StatusOr<std::vector<Tuple>> UcqBestAnswersAmong(
         sep[i][j] = false;
         continue;
       }
+      // A cancelled call answers garbage by convention (common/cancel.h).
+      if (CancellationRequested()) return std::vector<Tuple>{};
       StatusOr<bool> s = Separates(*context, candidates[i], candidates[j]);
       if (!s.ok()) return s.status();
       sep[i][j] = *s;

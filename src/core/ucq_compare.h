@@ -33,7 +33,10 @@ namespace zeroone {
 // naïve-membership check — polynomial for a fixed query, versus the
 // exponential-in-#nulls search needed for general FO (Theorem 6).
 //
-// All functions fail with an error status if the query is not a UCQ.
+// All functions fail with an error status if the query is not a UCQ. The
+// witness search and the best-answer pair loop poll the current CancelToken
+// (common/cancel.h) and stop early once it fires; the result is then
+// meaningless and the token's installer must discard it.
 
 // Sep(Q,D,ā,b̄).
 StatusOr<bool> UcqSeparates(const Query& query, const Database& db,

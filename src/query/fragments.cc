@@ -167,6 +167,34 @@ StatusOr<std::vector<ConjunctiveClause>> ToDnf(const Formula& f) {
 
 }  // namespace
 
+std::size_t UcqDisjunctCount(const Formula& formula, std::size_t cap) {
+  switch (formula.kind()) {
+    case Formula::Kind::kFalse:
+      return 0;
+    case Formula::Kind::kExists:
+      return UcqDisjunctCount(*formula.children()[0], cap);
+    case Formula::Kind::kOr: {
+      std::size_t count = 0;
+      for (const FormulaPtr& child : formula.children()) {
+        count = std::min(cap, count + UcqDisjunctCount(*child, cap));
+      }
+      return count;
+    }
+    case Formula::Kind::kAnd: {
+      std::size_t count = std::min<std::size_t>(cap, 1);
+      for (const FormulaPtr& child : formula.children()) {
+        std::size_t factor = UcqDisjunctCount(*child, cap);
+        // Both factors are at most cap, so the test cannot overflow.
+        count = factor != 0 && count > cap / factor ? cap : count * factor;
+      }
+      return count;
+    }
+    default:
+      // kTrue, atoms and equalities are one clause each.
+      return std::min<std::size_t>(cap, 1);
+  }
+}
+
 StatusOr<UcqNormalForm> NormalizeUcq(const Formula& formula) {
   StatusOr<std::vector<ConjunctiveClause>> dnf = ToDnf(formula);
   if (!dnf.ok()) return dnf.status();

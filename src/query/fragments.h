@@ -60,6 +60,12 @@ struct UcqNormalForm {
 // unaffected.
 StatusOr<UcqNormalForm> NormalizeUcq(const Formula& formula);
 
+// The number of disjuncts NormalizeUcq would produce for a formula in the
+// ∃,∧,∨-fragment (a sum over ∨, a product over ∧), counted without building
+// them and capped at `cap`, so a caller can refuse a DNF too large to build
+// in time linear in the formula.
+std::size_t UcqDisjunctCount(const Formula& formula, std::size_t cap);
+
 }  // namespace zeroone
 
 #endif  // ZEROONE_QUERY_FRAGMENTS_H_

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "data/io.h"
+
 namespace zeroone {
 
 namespace {
@@ -422,6 +424,16 @@ StatusOr<Query> ParseQuery(std::string_view text) {
   ZO_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
   Parser parser(std::move(tokens));
   return parser.ParseTopLevel();
+}
+
+StatusOr<Tuple> ParseAnswerTuple(const Query& query, std::string_view text) {
+  ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTuple(text));
+  if (tuple.arity() != query.arity()) {
+    return Status::Error("tuple arity " + std::to_string(tuple.arity()) +
+                         " does not match query arity " +
+                         std::to_string(query.arity()));
+  }
+  return tuple;
 }
 
 }  // namespace zeroone

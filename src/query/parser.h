@@ -41,6 +41,10 @@ namespace zeroone {
 //   := forall x . U(x) -> (R(x) & !S(x))         (Boolean query)
 StatusOr<Query> ParseQuery(std::string_view text);
 
+// Parses a candidate answer of `query`, in ParseTuple's syntax ("(c1, _1)");
+// fails unless its arity is the query's.
+StatusOr<Tuple> ParseAnswerTuple(const Query& query, std::string_view text);
+
 }  // namespace zeroone
 
 #endif  // ZEROONE_QUERY_PARSER_H_

@@ -63,44 +63,6 @@ Status RequireQuery(const SessionState& session) {
   return Status::Ok();
 }
 
-StatusOr<Tuple> ParseTupleArg(const SessionState& session,
-                              const std::string& text) {
-  ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTuple(text));
-  if (session.has_query && tuple.arity() != session.query.arity()) {
-    return Status::Error("tuple arity ", tuple.arity(),
-                         " does not match query arity ",
-                         session.query.arity());
-  }
-  return tuple;
-}
-
-// `compare`'s two tuples: "(t1) (t2)", split at the first ')'.
-StatusOr<std::vector<Tuple>> ParseCompareArgs(const SessionState& session,
-                                              const std::string& text) {
-  std::size_t split = text.find(')');
-  if (split == std::string::npos) {
-    return Status::Error("usage: compare (t1) (t2)");
-  }
-  ZO_ASSIGN_OR_RETURN(Tuple a,
-                      ParseTupleArg(session, text.substr(0, split + 1)));
-  ZO_ASSIGN_OR_RETURN(Tuple b, ParseTupleArg(session, text.substr(split + 1)));
-  return std::vector<Tuple>{std::move(a), std::move(b)};
-}
-
-// The tuples an exact command consults: one for cond, two for compare.
-StatusOr<std::vector<Tuple>> ExactTupleArgs(const SessionState& session,
-                                            ExactCommand command,
-                                            const std::string& args) {
-  if (command == ExactCommand::kCompare) {
-    return ParseCompareArgs(session, args);
-  }
-  if (command == ExactCommand::kCond) {
-    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTupleArg(session, args));
-    return std::vector<Tuple>{std::move(tuple)};
-  }
-  return std::vector<Tuple>{};
-}
-
 StatusOr<std::string> ReadFile(const std::string& path) {
   std::ifstream file(path);
   if (!file) return Status::Error("cannot open '", path, "'");
@@ -195,7 +157,7 @@ StatusOr<std::string> RunCommand(SessionState* session,
     AppendTuples(&out, ExactBestMuAnswers(session->query, session->db));
   } else if (command == "mu") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTupleArg(*session, args));
+    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseAnswerTuple(session->query, args));
     out << "mu = " << MuLimit(session->query, session->db, tuple);
   } else if (command == "muk") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
@@ -205,7 +167,8 @@ StatusOr<std::string> RunCommand(SessionState* session,
     std::string tuple_text;
     std::getline(arg_stream, tuple_text);
     if (k == 0) return Status::Error("usage: muk <k> <tuple>");
-    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTupleArg(*session, tuple_text));
+    ZO_ASSIGN_OR_RETURN(Tuple tuple,
+                        ParseAnswerTuple(session->query, tuple_text));
     SupportInstance instance =
         MakeSupportInstance(session->query, session->db, tuple);
     if (k < instance.prefix.size()) {
@@ -220,7 +183,7 @@ StatusOr<std::string> RunCommand(SessionState* session,
     out << "mu^" << k << " = " << mu.ToString() << " ≈ " << mu.ToDouble();
   } else if (command == "poly") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTupleArg(*session, args));
+    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseAnswerTuple(session->query, args));
     SupportPolynomial poly =
         ComputeSupportPolynomial(session->query, session->db, tuple);
     out << "|Supp^k| = " << poly.count.ToString() << "   (valid for k >= "
@@ -228,8 +191,9 @@ StatusOr<std::string> RunCommand(SessionState* session,
         << TotalCountPolynomial(session->db).ToString() << ")";
   } else if (command == "compare") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    ZO_ASSIGN_OR_RETURN(std::vector<Tuple> pair,
-                        ParseCompareArgs(*session, args));
+    ZO_ASSIGN_OR_RETURN(
+        std::vector<Tuple> pair,
+        ParseExactTuples(ExactCommand::kCompare, session->query, args));
     SupportOrder order =
         ExactCompare(session->query, session->db, pair[0], pair[1]);
     bool ab = order.a_in_b;
@@ -267,11 +231,13 @@ StatusOr<std::string> RunCommand(SessionState* session,
     out << "cleared";
   } else if (command == "cond") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseTupleArg(*session, args));
+    ZO_ASSIGN_OR_RETURN(
+        std::vector<Tuple> tuples,
+        ParseExactTuples(ExactCommand::kCond, session->query, args));
     ZO_ASSIGN_OR_RETURN(ExactConditional result,
                         ExactConditionalMu(session->query,
                                            session->constraints, session->db,
-                                           tuple));
+                                           tuples[0]));
     out << "mu(Q|Sigma) = " << result.value.ToString();
     if (!result.sigma_satisfiable) out << "   (Sigma unsatisfiable)";
   } else if (command == "chase") {
@@ -632,7 +598,7 @@ Response Dispatcher::Execute(const Request& request) {
       ExactCommand exact;
       if (ParseExactCommand(request.command, &exact)) {
         StatusOr<std::vector<Tuple>> tuples =
-            ExactTupleArgs(*session, exact, request.args);
+            ParseExactTuples(exact, session->query, request.args);
         if (!tuples.ok()) {
           response.status = WireStatus::kErr;
           response.payload = tuples.status().message();

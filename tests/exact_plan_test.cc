@@ -1,15 +1,16 @@
 // The exact-plan battery: every fast path core/exact_plan picks is held
 // byte-identical to the generic enumerator it replaces, on random inputs
 // over several seeds, and the choice itself is asserted — the negative
-// cases (negation, unguarded ∀…→, nulls in the formula, IND Σ that D does
-// not naïvely satisfy, tuple nulls outside Null(D)) must run the
-// enumerator, and so must every request under the interpreting reference
-// plan mode (the oracle gate).
+// cases (negation, unguarded ∀…→, nulls in the formula, Σ with an IND,
+// tuple nulls outside Null(D), UCQs whose DNF is too large to build) must
+// run the enumerator, and so must every request under the interpreting
+// reference plan mode (the oracle gate).
 
 #include "core/exact_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -207,39 +208,6 @@ TEST_P(ExactPlanSeeds, CondWithFdsMatchesEnumerator) {
   }
 }
 
-// Theorem 4: an IND Σ that D satisfies naïvely (S holds R's first column).
-TEST_P(ExactPlanSeeds, CondWithNaivelySatisfiedIndMatchesEnumerator) {
-  PlanModeGuard mode(plan::PlanMode::kCompiled);
-  ConstraintSet sigma = {
-      std::make_shared<InclusionDependency>("R", 2, std::vector<std::size_t>{0},
-                                            "S", 2,
-                                            std::vector<std::size_t>{0}),
-      std::make_shared<FunctionalDependency>("S", 2,
-                                             std::vector<std::size_t>{0}, 1)};
-  for (std::size_t free : {0u, 1u}) {
-    for (std::uint64_t i = 0; i < 3; ++i) {
-      Database db = RandomDb(7600 + seed() * 8 + i);
-      // Rebuild S as {(x, c0) : x in π₀(R)}: the IND and the FD on S then
-      // hold naïvely.
-      Relation& s = db.mutable_relation("S");
-      s = Relation("S", 2);
-      for (Relation::Row row : db.relation("R")) {
-        s.Insert(Tuple{row[0], Value::Constant("c0")});
-      }
-      ASSERT_EQ(MuLimit(ConstraintSetQuery(sigma), db), 1) << db.ToString();
-      RandomQueryOptions options = QueryOptions(7700 + seed() * 8 + i, free);
-      const Query queries[] = {GenerateRandomFo(options, 0.3),
-                               GenerateRandomUcq(options)};
-      for (const Query& query : queries) {
-        for (const Tuple& tuple : ProbesFor(query, db)) {
-          ExpectCondMatches(query, sigma, db, tuple,
-                            ExactAlgorithm::kSigmaNaive);
-        }
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactPlanSeeds, ::testing::Range(0, 4));
 
 TEST(ExactPlanTest, NegativeCasesChooseTheEnumerator) {
@@ -290,15 +258,21 @@ TEST(ExactPlanTest, NegativeCasesChooseTheEnumerator) {
             ExactAlgorithm::kEnumerator);
   EXPECT_EQ(choose(ExactCommand::kCond, with_null, {Tuple{Value::Null("1")}}),
             ExactAlgorithm::kEnumerator);
-  // IND Σ that D does not satisfy naïvely: R[1] ⊆ U[0] fails on c2.
-  ConstraintSet ind = {std::make_shared<InclusionDependency>(
-      "R", 2, std::vector<std::size_t>{1}, "U", 1,
-      std::vector<std::size_t>{0})};
+  // Σ with an IND, whether D satisfies it naïvely (R[0] ⊆ R[0]) or not
+  // (R[1] ⊆ U[0] fails on c2).
   Query ucq = Q("Q(x) := exists y . R(x, y)");
   const Tuple c1{Value::Constant("c1")};
-  EXPECT_EQ(ChooseExactAlgorithm(ExactCommand::kCond, ucq, ind, db, {c1}),
-            ExactAlgorithm::kEnumerator);
-  ExpectCondMatches(ucq, ind, db, c1, ExactAlgorithm::kEnumerator);
+  for (std::vector<std::size_t> from : {std::vector<std::size_t>{0},
+                                        std::vector<std::size_t>{1}}) {
+    const bool naive = from[0] == 0;
+    ConstraintSet ind = {std::make_shared<InclusionDependency>(
+        "R", 2, from, naive ? "R" : "U", naive ? 2 : 1,
+        std::vector<std::size_t>{0})};
+    EXPECT_EQ(MuLimit(ConstraintSetQuery(ind), db), naive ? 1 : 0);
+    EXPECT_EQ(ChooseExactAlgorithm(ExactCommand::kCond, ucq, ind, db, {c1}),
+              ExactAlgorithm::kEnumerator);
+    ExpectCondMatches(ucq, ind, db, c1, ExactAlgorithm::kEnumerator);
+  }
   // Tuple nulls outside Null(D).
   const Tuple outside{Value::Null("not_in_db")};
   const ConstraintSet fd = Fds({FunctionalDependency("R", 2, {0}, 1)});
@@ -307,6 +281,25 @@ TEST(ExactPlanTest, NegativeCasesChooseTheEnumerator) {
   ExpectCondMatches(ucq, fd, db, outside, ExactAlgorithm::kEnumerator);
   EXPECT_EQ(choose(ExactCommand::kCompare, ucq, {c1, outside}),
             ExactAlgorithm::kEnumerator);
+  // A UCQ whose DNF exceeds kMaxUcqDisjuncts: seven ∨s under one ∧ make
+  // 2^7 = 128 clauses; six make 64, which is still normalized.
+  auto product_of_unions = [](int factors) {
+    std::string text = "Q(x) := U(x)";
+    for (int i = 0; i < factors; ++i) {
+      text += " & (R(x, c1) | S(x, c" + std::to_string(i) + "))";
+    }
+    return text;
+  };
+  Query wide = Q(product_of_unions(7).c_str());
+  EXPECT_EQ(UcqDisjunctCount(*wide.formula(), kMaxUcqDisjuncts + 1),
+            kMaxUcqDisjuncts + 1);
+  for (ExactCommand command : {ExactCommand::kBest, ExactCommand::kBestMu}) {
+    EXPECT_EQ(choose(command, wide), ExactAlgorithm::kEnumerator);
+  }
+  EXPECT_EQ(choose(ExactCommand::kCompare, wide, {c1, c1}),
+            ExactAlgorithm::kEnumerator);
+  EXPECT_EQ(choose(ExactCommand::kBest, Q(product_of_unions(6).c_str())),
+            ExactAlgorithm::kUcq);
   // The positive counterparts do take the fast paths.
   EXPECT_EQ(choose(ExactCommand::kCertain, ucq), ExactAlgorithm::kNaive);
   EXPECT_EQ(choose(ExactCommand::kBest, ucq), ExactAlgorithm::kUcq);
@@ -408,6 +401,56 @@ TEST(ExactPlanTest, ServedCondUnderCancellationIsDeadlineExceeded) {
       << response.payload;
   EXPECT_EQ(response.payload.find("mu(Q|Sigma)"), std::string::npos)
       << response.payload;
+}
+
+// R = {(c0, ⊥0), …, (c49, ⊥49)}: the UCQ best-answer search compares all
+// pairs of the 100 candidates and takes seconds, so only a deadline check
+// inside it can stop it in time.
+std::string ManyNullsDb() {
+  std::string text = "R(2) = { ";
+  for (int i = 0; i < 50; ++i) {
+    if (i > 0) text += ", ";
+    text += "(c" + std::to_string(i) + ", _" + std::to_string(i) + ")";
+  }
+  return text + " }";
+}
+
+TEST(ExactPlanTest, UcqBestStopsAtTheDeadline) {
+  PlanModeGuard mode(plan::PlanMode::kCompiled);
+  const std::string db_text = ManyNullsDb();
+  const char* query_text = "Q(x) := exists y . R(x, y)";
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kDeadline = std::chrono::milliseconds(30);
+  // Cancellation is cooperative but prompt: far sooner than completion.
+  constexpr auto kPrompt = std::chrono::milliseconds(400);
+  {
+    Database db = Db(db_text.c_str());
+    Query query = Q(query_text);
+    CancelToken token;
+    token.SetDeadline(Clock::now() + kDeadline);
+    ScopedCancelToken scoped(&token);
+    Clock::time_point start = Clock::now();
+    ExactAlgorithm used = ExactAlgorithm::kEnumerator;
+    ExactBestAnswers(query, db, &used);
+    Clock::duration elapsed = Clock::now() - start;
+    EXPECT_EQ(used, ExactAlgorithm::kUcq);
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_LT(elapsed, kPrompt);
+  }
+  svc::Dispatcher dispatcher({});
+  dispatcher.Execute(Req("db", db_text));
+  dispatcher.Execute(Req("query", query_text));
+  CancelToken token;
+  token.SetDeadline(Clock::now() + kDeadline);
+  ScopedCancelToken scoped(&token);
+  svc::Request best = Req("best");
+  best.no_cache = true;
+  Clock::time_point start = Clock::now();
+  svc::Response response = dispatcher.Execute(best);
+  Clock::duration elapsed = Clock::now() - start;
+  EXPECT_EQ(response.status, svc::WireStatus::kDeadlineExceeded)
+      << response.payload;
+  EXPECT_LT(elapsed, kPrompt);
 }
 
 TEST(ExactPlanTest, ServedExplainAppendsTheExactLine) {

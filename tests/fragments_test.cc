@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "query/parser.h"
 
 namespace zeroone {
@@ -107,6 +109,29 @@ TEST(FragmentsTest, NormalizeKeepsEqualities) {
 TEST(FragmentsTest, NormalizeRejectsNegation) {
   EXPECT_FALSE(NormalizeUcq(*F("Q(x) := R(x) & !S(x)")).ok());
   EXPECT_FALSE(NormalizeUcq(*F(":= forall x . R(x)")).ok());
+}
+
+TEST(FragmentsTest, DisjunctCountMatchesNormalizeUcq) {
+  for (const char* text :
+       {"Q(x) := exists y . R(x, y) & S(y)", ":= (A() | B()) & (C() | D())",
+        ":= true", ":= false", ":= false | R()", ":= (A() | B()) & false",
+        ":= A() & (B() | (C() & (D() | E() | F())))",
+        "Q(x) := exists y . (R(x, y) | S(x)) & (x = y | T(y) | U(y))"}) {
+    FormulaPtr formula = F(text);
+    StatusOr<UcqNormalForm> dnf = NormalizeUcq(*formula);
+    ASSERT_TRUE(dnf.ok()) << text;
+    EXPECT_EQ(UcqDisjunctCount(*formula, 100), dnf->disjuncts.size()) << text;
+  }
+}
+
+TEST(FragmentsTest, DisjunctCountIsCapped) {
+  // 2^40 clauses, counted without building any.
+  std::string text = ":= A()";
+  for (int i = 0; i < 40; ++i) text += " & (B() | C())";
+  FormulaPtr formula = F(text.c_str());
+  EXPECT_EQ(UcqDisjunctCount(*formula, 64), 64u);
+  EXPECT_EQ(UcqDisjunctCount(*F(":= (A() | B()) & (C() | D())"), 3), 3u);
+  EXPECT_EQ(UcqDisjunctCount(*F(":= (A() | B()) & false"), 1), 0u);
 }
 
 }  // namespace

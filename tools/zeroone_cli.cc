@@ -101,52 +101,20 @@ bool RequireQuery(const Session& session) {
   return true;
 }
 
-StatusOr<Tuple> ParseTupleArg(const Session& session,
-                              const std::string& text) {
-  StatusOr<Tuple> tuple = ParseTuple(text);
-  if (!tuple.ok()) return tuple;
-  if (session.has_query && tuple->arity() != session.query.arity()) {
-    return Status::Error("tuple arity " + std::to_string(tuple->arity()) +
-                         " does not match query arity " +
-                         std::to_string(session.query.arity()));
-  }
-  return tuple;
-}
-
-// `compare`'s two tuples: "(t1) (t2)", split at the first ')'.
-bool ParseCompareArgs(const Session& session, const std::string& text,
-                      std::vector<Tuple>* pair) {
-  std::size_t split = text.find(')');
-  if (split == std::string::npos) return false;
-  StatusOr<Tuple> a = ParseTupleArg(session, text.substr(0, split + 1));
-  StatusOr<Tuple> b = ParseTupleArg(session, text.substr(split + 1));
-  if (!a.ok() || !b.ok()) return false;
-  *pair = {*a, *b};
-  return true;
-}
-
 // --explain's line naming the exact algorithm (core/exact_plan.h) for an
 // exact command, or an error on bad tuple arguments.
 void PrintExactPlan(const Session& session, const std::string& command,
                     const std::string& args) {
   ExactCommand exact;
   if (!ParseExactCommand(command, &exact)) return;
-  std::vector<Tuple> tuples;
-  if (exact == ExactCommand::kCompare) {
-    if (!ParseCompareArgs(session, args, &tuples)) {
-      std::cout << "usage: compare (t1) (t2)\n";
-      return;
-    }
-  } else if (exact == ExactCommand::kCond) {
-    StatusOr<Tuple> tuple = ParseTupleArg(session, args);
-    if (!tuple.ok()) {
-      std::cout << "error: " << tuple.status().message() << "\n";
-      return;
-    }
-    tuples.push_back(*tuple);
+  StatusOr<std::vector<Tuple>> tuples =
+      ParseExactTuples(exact, session.query, args);
+  if (!tuples.ok()) {
+    std::cout << "error: " << tuples.status().message() << "\n";
+    return;
   }
   std::cout << ExplainExactPlan(exact, session.query, session.constraints,
-                                session.db, tuples);
+                                session.db, *tuples);
 }
 
 void Handle(Session* session, const std::string& line) {
@@ -237,7 +205,7 @@ void Handle(Session* session, const std::string& line) {
     PrintTuples(ExactBestMuAnswers(session->query, session->db));
   } else if (command == "mu") {
     if (!RequireQuery(*session)) return;
-    StatusOr<Tuple> tuple = ParseTupleArg(*session, rest);
+    StatusOr<Tuple> tuple = ParseAnswerTuple(session->query, rest);
     if (!tuple.ok()) {
       std::cout << "error: " << tuple.status().message() << "\n";
       return;
@@ -251,7 +219,7 @@ void Handle(Session* session, const std::string& line) {
     args >> k;
     std::string tuple_text;
     std::getline(args, tuple_text);
-    StatusOr<Tuple> tuple = ParseTupleArg(*session, tuple_text);
+    StatusOr<Tuple> tuple = ParseAnswerTuple(session->query, tuple_text);
     if (!tuple.ok() || k == 0) {
       std::cout << "usage: muk <k> <tuple>\n";
       return;
@@ -268,7 +236,7 @@ void Handle(Session* session, const std::string& line) {
               << mu.ToDouble() << "\n";
   } else if (command == "poly") {
     if (!RequireQuery(*session)) return;
-    StatusOr<Tuple> tuple = ParseTupleArg(*session, rest);
+    StatusOr<Tuple> tuple = ParseAnswerTuple(session->query, rest);
     if (!tuple.ok()) {
       std::cout << "error: " << tuple.status().message() << "\n";
       return;
@@ -280,13 +248,14 @@ void Handle(Session* session, const std::string& line) {
               << TotalCountPolynomial(session->db).ToString() << ")\n";
   } else if (command == "compare") {
     if (!RequireQuery(*session)) return;
-    std::vector<Tuple> pair;
-    if (!ParseCompareArgs(*session, rest, &pair)) {
+    StatusOr<std::vector<Tuple>> pair =
+        ParseExactTuples(ExactCommand::kCompare, session->query, rest);
+    if (!pair.ok()) {
       std::cout << "usage: compare (t1) (t2)\n";
       return;
     }
     SupportOrder order =
-        ExactCompare(session->query, session->db, pair[0], pair[1]);
+        ExactCompare(session->query, session->db, (*pair)[0], (*pair)[1]);
     bool ab = order.a_in_b;
     bool ba = order.b_in_a;
     std::cout << "Supp(a) ⊆ Supp(b): " << (ab ? "yes" : "no")
@@ -323,13 +292,14 @@ void Handle(Session* session, const std::string& line) {
     session->fds.clear();
   } else if (command == "cond") {
     if (!RequireQuery(*session)) return;
-    StatusOr<Tuple> tuple = ParseTupleArg(*session, rest);
-    if (!tuple.ok()) {
-      std::cout << "error: " << tuple.status().message() << "\n";
+    StatusOr<std::vector<Tuple>> tuples =
+        ParseExactTuples(ExactCommand::kCond, session->query, rest);
+    if (!tuples.ok()) {
+      std::cout << "error: " << tuples.status().message() << "\n";
       return;
     }
     StatusOr<ExactConditional> result = ExactConditionalMu(
-        session->query, session->constraints, session->db, *tuple);
+        session->query, session->constraints, session->db, (*tuples)[0]);
     if (!result.ok()) {
       std::cout << "error: " << result.status().message() << "\n";
       return;
