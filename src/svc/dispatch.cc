@@ -38,22 +38,13 @@ namespace {
 // bytes are rejected by ParseRequestLine) or in Query::ToString output.
 constexpr char kKeySep = '\x1f';
 
-// Mirrors the CLI's tuple-list output exactly.
+// One indented tuple per line, or `(none)`.
 void AppendTuples(std::ostringstream* out, const std::vector<Tuple>& tuples) {
   if (tuples.empty()) {
     *out << "  (none)\n";
     return;
   }
   for (const Tuple& t : tuples) *out << "  " << t.ToString() << "\n";
-}
-
-// Commands that evaluate the session query against the session database —
-// the ones whose FO plan `@explain=1` can print.
-bool IsQueryEvalCommand(const std::string& command) {
-  return command == "naive" || command == "certain" ||
-         command == "possible" || command == "best" || command == "bestmu" ||
-         command == "mu" || command == "muk" || command == "poly" ||
-         command == "compare" || command == "cond";
 }
 
 Status RequireQuery(const SessionState& session) {
@@ -92,6 +83,12 @@ constexpr std::size_t kShipBatchBytes = 1 << 20;
 static_assert(kShipBatchBytes + kMaxWalRecordBytes + 64 <= kMaxPayloadBytes,
               "a full ship batch plus one frame of overshoot must fit one "
               "wire payload, or FormatResponse would truncate mid-frame");
+
+// Largest k `muk` accepts. µ^k enumerates k^|Null(D)| valuations and mints
+// k - |C ∪ Const(D)| fresh constants that are never reclaimed, so an
+// unchecked k (a negative one reads as 2^64 - 1) would abort the process
+// on its first allocation.
+constexpr std::uint64_t kMaxMukK = 4096;
 
 // Runs one command against the session. The caller holds the appropriate
 // session lock. Sets *mutated when session state changed (the caller then
@@ -161,14 +158,21 @@ StatusOr<std::string> RunCommand(SessionState* session,
     out << "mu = " << MuLimit(session->query, session->db, tuple);
   } else if (command == "muk") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    std::stringstream arg_stream(args);
-    std::size_t k = 0;
-    arg_stream >> k;
-    std::string tuple_text;
-    std::getline(arg_stream, tuple_text);
-    if (k == 0) return Status::Error("usage: muk <k> <tuple>");
-    ZO_ASSIGN_OR_RETURN(Tuple tuple,
-                        ParseAnswerTuple(session->query, tuple_text));
+    const std::size_t space = args.find(' ');
+    StatusOr<std::uint64_t> parsed_k = ParseUint64(args.substr(0, space));
+    if (!parsed_k.ok() || *parsed_k == 0) {
+      return Status::Error("usage: muk <k> <tuple>");
+    }
+    if (*parsed_k > kMaxMukK) {
+      return Status::Error("k must be at most ", kMaxMukK, ", got ",
+                           *parsed_k);
+    }
+    const std::size_t k = *parsed_k;
+    ZO_ASSIGN_OR_RETURN(
+        Tuple tuple,
+        ParseAnswerTuple(session->query,
+                         std::string_view(args).substr(
+                             std::min(space, args.size()))));
     SupportInstance instance =
         MakeSupportInstance(session->query, session->db, tuple);
     if (k < instance.prefix.size()) {
@@ -567,6 +571,15 @@ Response Dispatcher::Execute(const Request& request) {
   ZO_TRACE_SPAN("svc.execute");
   Response response;
   response.id = request.id;
+  // ParseRequestLine already refuses unknown commands on the wire; this
+  // catches in-process callers (the CLI) and replay-only forms (`loaddata`).
+  const CommandInfo* info = FindCommand(request.command);
+  if (info == nullptr) {
+    ZO_COUNTER_INC("svc.requests.error");
+    response.status = WireStatus::kErr;
+    response.payload = StrCat("unknown command '", request.command, "'");
+    return response;
+  }
 
   if (request.command == "ping") {
     response.payload = "pong";
@@ -587,7 +600,7 @@ Response Dispatcher::Execute(const Request& request) {
     // executing it. Never reads or fills the result cache — the point is
     // to see the plan for the live session state.
     std::shared_lock<SessionMutex> lock(session->mutex);
-    if (IsQueryEvalCommand(request.command)) {
+    if (info->Has(CommandInfo::kExplainsQuery)) {
       Status has_query = RequireQuery(*session);
       if (!has_query.ok()) {
         response.status = WireStatus::kErr;
@@ -610,7 +623,7 @@ Response Dispatcher::Execute(const Request& request) {
       }
       return response;
     }
-    if (request.command == "dlog") {
+    if (info->Has(CommandInfo::kExplainsProgram)) {
       StatusOr<std::string> contents = ReadFile(request.args);
       StatusOr<DatalogProgram> program =
           contents.ok() ? ParseDatalogProgram(contents.value())
@@ -629,9 +642,9 @@ Response Dispatcher::Execute(const Request& request) {
     return response;
   }
   CancelToken* token = CurrentCancelToken();
-  bool mutation = IsMutationCommand(request.command);
+  bool mutation = info->Has(CommandInfo::kMutation);
   bool cacheable = !request.no_cache && !mutation &&
-                   IsCacheableCommand(request.command);
+                   info->Has(CommandInfo::kCacheable);
 
   std::string cache_key;
   StatusOr<std::string> result = std::string();

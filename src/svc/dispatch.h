@@ -3,12 +3,14 @@
 
 // Command execution over named sessions, with result caching.
 //
-// The Dispatcher exposes the zeroone_cli command surface (load / db / query
-// / naive / certain / possible / best / bestmu / mu / muk / poly / compare
-// / fd / ind / constraints / clear / cond / chase / ra / dlog) as a pure
-// request → response function, shared by the TCP server, the serving bench,
-// and the tests. Payload text matches the CLI's output byte-for-byte so
-// concurrent serving can be validated against sequential evaluation.
+// The Dispatcher runs every command of the table in svc/protocol.cc (load /
+// db / query / naive / certain / possible / best / bestmu / mu / muk / poly
+// / compare / fd / ind / constraints / clear / cond / chase / ra / dlog,
+// plus the server-side ping / stats / save / ship commands) as a request →
+// response function. It is the one implementation behind the TCP server,
+// the HTTP gateway, zeroone_cli (an in-process read–print loop over it),
+// the serving bench and the tests, so concurrent serving can be validated
+// against sequential evaluation byte for byte.
 //
 // Locking: evaluation commands hold the session's shared lock, mutations
 // the exclusive lock; see svc/session.h. Caching: successful cacheable

@@ -9,30 +9,49 @@ namespace svc {
 
 namespace {
 
-constexpr std::string_view kKnownCommands[] = {
-    "ping",  "stats",   "db",          "load",  "reset", "show",
-    "query", "naive",   "certain",     "possible", "best", "bestmu",
-    "mu",    "muk",     "poly",        "compare", "cond", "fd",
-    "ind",   "constraints", "clear",   "chase", "ra",    "dlog",
-    "save",  "shiplist", "ship",
-};
+constexpr unsigned kMutation = CommandInfo::kMutation;
+constexpr unsigned kCacheable = CommandInfo::kCacheable;
+constexpr unsigned kExplainsQuery = CommandInfo::kExplainsQuery;
+constexpr unsigned kExplainsProgram = CommandInfo::kExplainsProgram;
+constexpr unsigned kEval = kCacheable | kExplainsQuery;
 
-constexpr std::string_view kMutationCommands[] = {
-    "db", "load", "reset", "query", "fd", "ind", "clear", "chase",
+// The command table, in help order. `show`/`constraints`/`stats`/`ping` are
+// cheap enough that caching them would only churn the LRU list;
+// `load`/`dlog` read server-side files whose contents can change without a
+// version bump.
+constexpr CommandInfo kCommands[] = {
+    {"load", kMutation, "<file>", "load a database file (data/io.h format)"},
+    {"db", kMutation, "<statement>", "add one relation statement inline"},
+    {"reset", kMutation, "", "drop the database, query and constraints"},
+    {"show", 0, "", "print the current database"},
+    {"query", kMutation, "<text>", "set the current query (ParseQuery syntax)"},
+    {"naive", kEval, "", "naive answers (= almost certainly true, Thm 1)"},
+    {"certain", kEval, "", "certain answers (exact; core/exact_plan.h)"},
+    {"possible", kEval, "", "possible answers"},
+    {"best", kEval, "", "Best(Q,D): support-maximal answers"},
+    {"bestmu", kEval, "", "Best_mu(Q,D): best answers almost certainly true"},
+    {"mu", kEval, "<tuple>", "mu(Q,D,a) limit (0 or 1, by the 0-1 law)"},
+    {"muk", kEval, "<k> <tuple>", "exact mu^k(Q,D,a)"},
+    {"poly", kEval, "<tuple>", "support-count polynomial |Supp^k| in k"},
+    {"compare", kEval, "<t1> <t2>", "Supp inclusion between two tuples"},
+    {"fd", kMutation, "<R> <arity> <l1,..> <rhs>",
+     "add a functional dependency"},
+    {"ind", kMutation, "<R> <ar> <pos,..> <S> <ar> <pos,..>",
+     "add an inclusion dependency"},
+    {"constraints", 0, "", "list constraints"},
+    {"clear", kMutation, "", "drop all constraints"},
+    {"cond", kEval, "<tuple>", "exact conditional mu(Q|Sigma,D,a)"},
+    {"chase", kMutation, "", "chase the database with the FD constraints"},
+    {"ra", kCacheable, "<expr>", "evaluate a relational-algebra plan (naive)"},
+    {"dlog", kExplainsProgram, "<file>",
+     "evaluate a datalog program's goal relation (naive)"},
+    {"ping", 0, "", "answer pong"},
+    {"stats", 0, "", "cache and session counters as JSON"},
+    {"save", 0, "", "persist the session now (needs --snapshot-dir)"},
+    {"shiplist", 0, "", "session versions, for log shipping"},
+    {"ship", 0, "<session> <from_version>",
+     "log records past a cursor, for log shipping"},
 };
-
-// `show`/`constraints`/`stats`/`ping` are cheap enough that caching them
-// would only churn the LRU list; `load`/`dlog` read server-side files whose
-// contents can change without a version bump.
-constexpr std::string_view kCacheableCommands[] = {
-    "naive", "certain", "possible", "best", "bestmu",
-    "mu",    "muk",     "poly",     "compare", "cond", "ra",
-};
-
-bool Contains(const std::string_view* begin, const std::string_view* end,
-              std::string_view needle) {
-  return std::find(begin, end, needle) != end;
-}
 
 bool IsTokenChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
@@ -92,19 +111,33 @@ StatusOr<WireStatus> ParseWireStatus(std::string_view name) {
   return Status::Error("unknown wire status '", name, "'");
 }
 
+std::span<const CommandInfo> Commands() { return kCommands; }
+
+const CommandInfo* FindCommand(std::string_view command) {
+  for (const CommandInfo& info : kCommands) {
+    if (info.name == command) return &info;
+  }
+  return nullptr;
+}
+
 bool IsKnownCommand(std::string_view command) {
-  return Contains(std::begin(kKnownCommands), std::end(kKnownCommands),
-                  command);
+  return FindCommand(command) != nullptr;
 }
 
 bool IsMutationCommand(std::string_view command) {
-  return Contains(std::begin(kMutationCommands), std::end(kMutationCommands),
-                  command);
+  const CommandInfo* info = FindCommand(command);
+  return info != nullptr && info->Has(CommandInfo::kMutation);
 }
 
 bool IsCacheableCommand(std::string_view command) {
-  return Contains(std::begin(kCacheableCommands),
-                  std::end(kCacheableCommands), command);
+  const CommandInfo* info = FindCommand(command);
+  return info != nullptr && info->Has(CommandInfo::kCacheable);
+}
+
+bool IsExplainableCommand(std::string_view command) {
+  const CommandInfo* info = FindCommand(command);
+  return info != nullptr &&
+         (info->flags & (kExplainsQuery | kExplainsProgram)) != 0;
 }
 
 bool IsValidUtf8(std::string_view text) {

@@ -14,6 +14,7 @@
 //             | "bestmu" | "mu" | "muk" | "poly" | "compare" | "cond"
 //             | "fd" | "ind" | "constraints" | "clear" | "chase" | "ra"
 //             | "dlog" | "save" | "shiplist" | "ship"
+//             (CommandInfo below; the table is in protocol.cc)
 //
 // `shiplist` and `ship <session> <from_version>` are the log-shipping
 // surface a warm standby pulls over (docs/robustness.md): shiplist answers
@@ -35,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -83,16 +85,43 @@ struct Response {
   std::string payload;
 };
 
-// True for commands the server understands (the list in the grammar above).
+// One row of the command table (protocol.cc), the single list of commands
+// the dispatcher runs and both front ends accept.
+struct CommandInfo {
+  enum Flag : unsigned {
+    // Changes session state (database, query, constraints): bumps the
+    // session version and invalidates the session's cache entries. `query`
+    // counts: it changes what the evaluation commands operate on.
+    kMutation = 1u << 0,
+    // A pure read whose output depends only on (session version, command,
+    // args), so its successful results are worth caching.
+    kCacheable = 1u << 1,
+    // `@explain=1` prints the session query's plan (and, for the exact
+    // commands, the exact algorithm) instead of evaluating.
+    kExplainsQuery = 1u << 2,
+    // `@explain=1` prints the datalog program's plan (`dlog`).
+    kExplainsProgram = 1u << 3,
+  };
+
+  std::string_view name;
+  unsigned flags;
+  std::string_view args;     // Argument synopsis for help texts.
+  std::string_view summary;  // One-line description for help texts.
+
+  bool Has(Flag flag) const { return (flags & flag) != 0; }
+};
+
+// Every command, in help order.
+std::span<const CommandInfo> Commands();
+// The row for `command`, or null for a command the server does not know.
+const CommandInfo* FindCommand(std::string_view command);
+
+// Flag lookups on the command table; false for unknown commands.
 bool IsKnownCommand(std::string_view command);
-// True for commands that mutate session state (database, query,
-// constraints) and therefore bump the session version and invalidate the
-// session's cache entries. `query` counts: it changes what the evaluation
-// commands operate on.
 bool IsMutationCommand(std::string_view command);
-// True for commands whose successful results are worth caching: pure reads
-// whose output depends only on (session state version, command, args).
 bool IsCacheableCommand(std::string_view command);
+// True for commands `@explain=1` (the CLI's --explain) applies to.
+bool IsExplainableCommand(std::string_view command);
 
 // Parses one request line (without the trailing LF). Enforces the size cap,
 // UTF-8 validity, option syntax, token shape, and command membership; any

@@ -3,10 +3,10 @@
 
 // Named database sessions.
 //
-// A session carries the same state as one zeroone_cli shell: a database, a
-// current query, and a constraint set. Sessions are created on first use
-// (the `@session=` request option; "default" otherwise) and live for the
-// server's lifetime.
+// A session carries a database, a current query, and a constraint set (a
+// zeroone_cli shell is one session, `default`, of an in-process
+// Dispatcher). Sessions are created on first use (the `@session=` request
+// option; "default" otherwise) and live for the Dispatcher's lifetime.
 //
 // Concurrency: the per-session SessionMutex serializes mutations against
 // evaluations — evaluation commands are pure in the session state, so any

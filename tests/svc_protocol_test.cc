@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svc/protocol.h"
@@ -134,6 +136,26 @@ TEST(RequestLineTest, CommandClassesAreConsistent) {
   EXPECT_TRUE(IsKnownCommand("save"));
   EXPECT_FALSE(IsMutationCommand("save"));
   EXPECT_FALSE(IsCacheableCommand("save"));
+  // `@explain=1` (and the CLI's --explain) applies to the evaluation
+  // commands and `dlog`; setup commands run as usual.
+  for (const char* command : {"naive", "certain", "possible", "best", "bestmu",
+                              "mu", "muk", "poly", "compare", "cond", "dlog"}) {
+    EXPECT_TRUE(IsExplainableCommand(command)) << command;
+  }
+  for (const char* command : {"db", "query", "fd", "ind", "load", "show",
+                              "ra", "chase", "ping", "nope"}) {
+    EXPECT_FALSE(IsExplainableCommand(command)) << command;
+  }
+}
+
+TEST(RequestLineTest, CommandTableHasOneRowPerCommand) {
+  std::set<std::string_view> names;
+  for (const CommandInfo& info : Commands()) {
+    EXPECT_TRUE(names.insert(info.name).second) << info.name;
+    EXPECT_EQ(FindCommand(info.name), &info);
+    EXPECT_FALSE(info.summary.empty()) << info.name;
+  }
+  EXPECT_EQ(FindCommand("nope"), nullptr);
 }
 
 TEST(ResponseFrameTest, RoundTrips) {

@@ -307,6 +307,40 @@ TEST(DispatcherTest, SessionsAreIsolated) {
   EXPECT_EQ(alpha.status, WireStatus::kOk);
 }
 
+TEST(DispatcherTest, MukRefusesBadAndHugeK) {
+  Dispatcher dispatcher(Dispatcher::Options{});
+  ASSERT_EQ(dispatcher.Execute(MakeRequest("db", "R(1) = { (_1) }")).status,
+            WireStatus::kOk);
+  ASSERT_EQ(dispatcher.Execute(MakeRequest("query", "Q(x) := R(x)")).status,
+            WireStatus::kOk);
+  // A negative k once wrapped to 2^64 - 1 and aborted the process.
+  for (const char* k : {"-1", "18446744073709551615", "4097", "3x", "+3"}) {
+    Response response = dispatcher.Execute(
+        MakeRequest("muk", std::string(k) + " (c1)"));
+    EXPECT_EQ(response.status, WireStatus::kErr) << k;
+    EXPECT_FALSE(response.payload.empty()) << k;
+  }
+  EXPECT_EQ(dispatcher.Execute(MakeRequest("muk", "4097 (c1)")).payload,
+            "k must be at most 4096, got 4097");
+  Response ok = dispatcher.Execute(MakeRequest("muk", "6 (c1)"));
+  EXPECT_EQ(ok.status, WireStatus::kOk) << ok.payload;
+}
+
+TEST(DispatcherTest, UnknownCommandsAnswerErr) {
+  // ParseRequestLine screens wire requests; in-process callers reach
+  // Execute directly, and replay-only forms must not run as reads.
+  Dispatcher dispatcher(Dispatcher::Options{});
+  Response bogus = dispatcher.Execute(MakeRequest("frobnicate"));
+  EXPECT_EQ(bogus.status, WireStatus::kErr);
+  EXPECT_EQ(bogus.payload, "unknown command 'frobnicate'");
+  EXPECT_EQ(dispatcher.Execute(MakeRequest("loaddata", "R(1) = { (a) }"))
+                .status,
+            WireStatus::kErr);
+  Request show = MakeRequest("show");
+  show.no_cache = true;
+  EXPECT_EQ(dispatcher.Execute(show).payload, "\n");
+}
+
 // ---------------------------------------------------------------------------
 // Server end to end
 
