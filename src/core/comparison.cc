@@ -3,8 +3,7 @@
 #include <cassert>
 
 #include "core/measure.h"
-#include "core/support.h"
-#include "data/valuation.h"
+#include "core/valuation_engine.h"
 #include "query/eval.h"
 
 namespace zeroone {
@@ -17,14 +16,6 @@ struct ComparisonSpace {
   std::vector<Value> nulls;
   std::vector<Value> domain;
 };
-
-void AppendUnique(std::vector<Value>* out, const std::vector<Value>& values) {
-  for (Value v : values) {
-    bool seen = false;
-    for (Value existing : *out) seen = seen || existing == v;
-    if (!seen) out->push_back(v);
-  }
-}
 
 ComparisonSpace MakeComparisonSpace(const Query& query, const Database& db,
                                     const std::vector<Tuple>& tuples) {
@@ -43,25 +34,21 @@ ComparisonSpace MakeComparisonSpace(const Query& query, const Database& db,
   return space;
 }
 
-bool Witnesses(const Query& query, const Database& valuated,
-               const Valuation& v, const Tuple& tuple) {
-  return EvaluateMembership(query, valuated, v.Apply(tuple));
-}
-
 }  // namespace
 
 bool Separates(const Query& query, const Database& db, const Tuple& a,
                const Tuple& b) {
   assert(a.arity() == query.arity() && b.arity() == query.arity());
   ComparisonSpace space = MakeComparisonSpace(query, db, {a, b});
+  QueryWitness witness(query, db);
+  ValuationImage image(db, space.nulls, EngineImageMode());
+  std::vector<Value> point(space.nulls.size());
   // Search for v ∈ Supp(a) − Supp(b); stop at the first.
-  return !ForEachValuationUntil(
-      space.nulls, space.domain, [&](const Valuation& v) {
-        Database valuated = v.Apply(db);
-        bool separating = Witnesses(query, valuated, v, a) &&
-                          !Witnesses(query, valuated, v, b);
-        return !separating;  // Keep going while not separating.
-      });
+  return !ForEachPoint(&point, 0, space.domain, [&] {
+    image.Assign(point);
+    bool separating = witness(image, a) && !witness(image, b);
+    return !separating;  // Keep going while not separating.
+  });
 }
 
 bool WeaklyDominated(const Query& query, const Database& db, const Tuple& a,
@@ -80,13 +67,16 @@ SupportTable ComputeSupportTable(const Query& query, const Database& db,
   table.candidates = candidates;
   table.support.assign(candidates.size(), {});
   ComparisonSpace space = MakeComparisonSpace(query, db, candidates);
-  ForEachValuation(space.nulls, space.domain, [&](const Valuation& v) {
-    Database valuated = v.Apply(db);
+  QueryWitness witness(query, db);
+  ValuationImage image(db, space.nulls, EngineImageMode());
+  std::vector<Value> point(space.nulls.size());
+  ForEachPoint(&point, 0, space.domain, [&] {
+    image.Assign(point);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      table.support[i].push_back(
-          Witnesses(query, valuated, v, candidates[i]));
+      table.support[i].push_back(witness(image, candidates[i]));
     }
     ++table.valuation_count;
+    return true;
   });
   return table;
 }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/cancel.h"
 #include "common/partitions.h"
+#include "core/valuation_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/pool.h"
@@ -17,16 +17,12 @@ GenericSupportCount CountGenericSupport(const GenericInstance& instance,
          "k must cover the enumeration prefix C ∪ Const(D)");
   ZO_TRACE_SPAN("CountGenericSupport");
   std::vector<Value> domain = MakeConstantEnumeration(instance.prefix, k);
-  GenericSupportCount count{BigInt(0), BigInt(0)};
-  ForEachValuation(instance.nulls, domain, [&](const Valuation& v) {
-    ZO_COUNTER_INC("support.valuations_enumerated");
-    count.total += BigInt(1);
-    if (instance.witness(v, v.Apply(db))) {
-      ZO_COUNTER_INC("support.witnesses_found");
-      count.support += BigInt(1);
-    }
-  });
-  return count;
+  ValuationImage image(db, instance.nulls, EngineImageMode());
+  std::vector<Value> point(instance.nulls.size());
+  PointTally tally =
+      CountWitnessedPoints(&image, &point, 0, domain, instance.witness);
+  return GenericSupportCount{TallyToBigInt(tally.support),
+                             TallyToBigInt(tally.total)};
 }
 
 GenericSupportCount CountGenericSupportParallel(
@@ -42,36 +38,32 @@ GenericSupportCount CountGenericSupportParallel(
   // Shard on the first null's value; the remaining nulls enumerate inside
   // each shard. One shard per morsel on the work-stealing pool (which
   // re-installs the caller's CancelToken in every worker, so cancellation
-  // still stops all shards); shards are independent, so per-morsel partials
+  // still stops all shards); shards are independent, so per-morsel tallies
   // summed in morsel order reproduce the serial count exactly.
-  std::vector<Value> rest(instance.nulls.begin() + 1, instance.nulls.end());
   par::ForOptions options;
   options.grain = 1;
   options.max_workers = threads;
   par::ForPlan morsels = par::PlanMorsels(domain.size(), options);
-  std::vector<BigInt> partial_support(morsels.morsels, BigInt(0));
-  std::vector<BigInt> partial_total(morsels.morsels, BigInt(0));
+  std::vector<PointTally> partial(morsels.morsels);
   par::ParallelFor(morsels, [&](const par::Morsel& m, std::size_t) {
+    ValuationImage image(db, instance.nulls, EngineImageMode());
+    std::vector<Value> point(instance.nulls.size());
     for (std::size_t shard = m.begin; shard < m.end; ++shard) {
-      ForEachValuation(rest, domain, [&](const Valuation& v) {
-        ZO_COUNTER_INC("support.valuations_enumerated");
-        Valuation full = v;
-        full.Bind(instance.nulls[0], domain[shard]);
-        partial_total[m.index] += BigInt(1);
-        if (instance.witness(full, full.Apply(db))) {
-          ZO_COUNTER_INC("support.witnesses_found");
-          partial_support[m.index] += BigInt(1);
-        }
-      });
+      point[0] = domain[shard];
+      PointTally tally =
+          CountWitnessedPoints(&image, &point, 1, domain, instance.witness);
+      partial[m.index].support += tally.support;
+      partial[m.index].total += tally.total;
     }
     return true;
   });
-  GenericSupportCount count{BigInt(0), BigInt(0)};
-  for (std::size_t m = 0; m < morsels.morsels; ++m) {
-    count.support += partial_support[m];
-    count.total += partial_total[m];
+  PointTally total;
+  for (const PointTally& p : partial) {
+    total.support += p.support;
+    total.total += p.total;
   }
-  return count;
+  return GenericSupportCount{TallyToBigInt(total.support),
+                             TallyToBigInt(total.total)};
 }
 
 Rational GenericMuK(const GenericInstance& instance, const Database& db,
@@ -95,31 +87,44 @@ GenericSupportPolynomial ComputeGenericSupportPolynomial(
   fresh.reserve(m);
   for (std::size_t i = 0; i < m; ++i) fresh.push_back(Value::FreshConstant());
 
-  Polynomial result;
+  // One tally per free-block count f; each witnessed point realizes
+  // (k−a)_f valuations, added once per f below.
+  std::vector<std::uint64_t> tally(m + 1, 0);
+  std::uint64_t partitions = 0;
+  std::uint64_t maps = 0;
+  ValuationImage image(db, instance.nulls, EngineImageMode());
+  std::vector<Value> point(m);
+  std::vector<Value> block_value(m);
   ForEachSetPartition(m, [&](const SetPartition& partition) {
-    ZO_COUNTER_INC("support.partitions_enumerated");
+    ++partitions;
     const std::size_t t = partition.block_count;
     ForEachInjectivePartialMap(
         t, a, [&](const std::vector<std::size_t>& sigma) {
-          ZO_COUNTER_INC("support.partition_maps_enumerated");
-          Valuation v;
+          ++maps;
           std::size_t free_blocks = 0;
-          std::vector<Value> block_value(t);
           for (std::size_t b = 0; b < t; ++b) {
             block_value[b] = sigma[b] == kUnassigned ? fresh[free_blocks++]
                                                      : a_set[sigma[b]];
           }
           for (std::size_t i = 0; i < m; ++i) {
-            v.Bind(instance.nulls[i], block_value[partition.blocks[i]]);
+            point[i] = block_value[partition.blocks[i]];
           }
-          if (instance.witness(v, v.Apply(db))) {
-            ZO_COUNTER_INC("support.witnesses_found");
-            result += Polynomial::FallingFactorial(
-                static_cast<std::int64_t>(a),
-                static_cast<unsigned>(free_blocks));
-          }
+          image.Assign(point);
+          if (instance.witness(image)) ++tally[free_blocks];
         });
   });
+  Polynomial result;
+  std::uint64_t witnessed = 0;
+  for (std::size_t f = 0; f <= m; ++f) {
+    if (tally[f] == 0) continue;
+    witnessed += tally[f];
+    result += Polynomial::FallingFactorial(static_cast<std::int64_t>(a),
+                                           static_cast<unsigned>(f)) *
+              Rational(TallyToBigInt(tally[f]));
+  }
+  ZO_COUNTER_ADD("support.partitions_enumerated", partitions);
+  ZO_COUNTER_ADD("support.partition_maps_enumerated", maps);
+  ZO_COUNTER_ADD("support.witnesses_found", witnessed);
   return GenericSupportPolynomial{std::move(result), a};
 }
 

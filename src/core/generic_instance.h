@@ -8,7 +8,7 @@
 #include "common/polynomial.h"
 #include "common/rational.h"
 #include "data/database.h"
-#include "data/valuation.h"
+#include "data/valuation_image.h"
 
 namespace zeroone {
 
@@ -16,7 +16,7 @@ namespace zeroone {
 // genericity — it never looks at syntax. This header captures that minimal
 // contract: an instance is (nulls, prefix A = C ∪ Const(D), witness
 // predicate), where the witness decides v(ā) ∈ Q(v(D)) given the valuation
-// and the valuated database. Both the first-order front end (core/support.h)
+// image of the current point (core/valuation_engine.h). Both the first-order front end (core/support.h)
 // and non-FO formalisms (datalog, src/datalog/) lower themselves to this
 // form, realizing the paper's point that the 0–1 law holds far beyond FO.
 struct GenericInstance {
@@ -24,9 +24,10 @@ struct GenericInstance {
   std::vector<Value> nulls;
   // The enumeration prefix A = C ∪ Const(D), deduplicated constants.
   std::vector<Value> prefix;
-  // witness(v, v(D)) ⇔ v(ā) ∈ Q(v(D)). Must be generic: invariant under
-  // permutations of Const fixing `prefix`.
-  std::function<bool(const Valuation&, const Database& valuated)> witness;
+  // witness(image) ⇔ v(ā) ∈ Q(v(D)) for the image's current point v, with
+  // v(D) = image.database() and v(ā) = image.Apply(ā). Must be generic:
+  // invariant under permutations of Const fixing `prefix`.
+  std::function<bool(const ValuationImage&)> witness;
 };
 
 // |Supp^k| and |V^k| by enumeration over the generic instance.
@@ -38,12 +39,12 @@ GenericSupportCount CountGenericSupport(const GenericInstance& instance,
                                         const Database& db, std::size_t k);
 
 // Parallel variant: partitions the valuation space on the first null's
-// value and counts shards on `threads` std::threads (clamped to the shard
-// count). Results are identical to the sequential version — counting is
-// associative — and the witness closure is invoked concurrently, so it must
-// be thread-safe; every witness built by this library is a pure function of
-// its arguments. With 0 nulls or threads <= 1 this falls back to the
-// sequential path.
+// value and counts shards on at most `threads` pool workers, one valuation
+// image per morsel. Results are identical to the sequential version —
+// counting is associative — and the witness closure is invoked
+// concurrently, so it must be thread-safe; every witness built by this
+// library is a pure function of its arguments. With 0 nulls or
+// threads <= 1 this falls back to the sequential path.
 GenericSupportCount CountGenericSupportParallel(const GenericInstance& instance,
                                                 const Database& db,
                                                 std::size_t k,

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/cancel.h"
-#include "core/support.h"
-#include "data/valuation.h"
+#include "core/valuation_engine.h"
 #include "query/eval.h"
 
 namespace zeroone {
@@ -35,89 +33,68 @@ std::vector<Tuple> AlmostCertainAnswers(const Query& query,
 
 namespace {
 
-// The bounded valuation domain that is complete for certainty/possibility
-// checks: A = C ∪ Const(D) extended with one fresh constant per null.
-struct BoundedSearch {
-  SupportInstance instance;
-  std::vector<Value> domain;
-  // adom(D) of the unvaluated database, computed once per search; each
-  // valuated membership check derives its quantification domain from this
-  // instead of rescanning v(D).
-  std::vector<Value> base_adom;
-};
-
-BoundedSearch MakeBoundedSearch(const Query& query, const Database& db,
-                                const Tuple& tuple) {
-  BoundedSearch search;
-  search.instance = MakeSupportInstance(query, db, tuple);
-  std::size_t range_size =
-      search.instance.prefix.size() + search.instance.nulls.size();
-  search.domain = MakeConstantEnumeration(search.instance.prefix, range_size);
-  search.base_adom = db.ActiveDomain();
-  return search;
-}
-
-// adom(v(D)) as the image of a precomputed adom(D): every value of v(D) is
-// the image of a value of D, so sorting + deduplicating the image yields
-// exactly what v.Apply(db).ActiveDomain() would rescan the database for
-// (constants precede nulls in the Value order, matching ActiveDomain).
-std::vector<Value> ValuatedDomain(const Valuation& v,
-                                  const std::vector<Value>& base_adom) {
-  std::vector<Value> domain;
-  domain.reserve(base_adom.size());
-  for (Value x : base_adom) domain.push_back(v.Apply(x));
-  std::sort(domain.begin(), domain.end());
-  domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
-  return domain;
-}
-
-bool Witnesses(const SupportInstance& instance, const Valuation& v,
-               const Database& db, const std::vector<Value>& base_adom,
-               bool formula_has_nulls) {
-  Database valuated = v.Apply(db);
-  Tuple valuated_tuple = v.Apply(instance.tuple);
-  std::vector<Value> domain = ValuatedDomain(v, base_adom);
-  if (!formula_has_nulls) {
-    return EvaluateMembership(instance.query, valuated, valuated_tuple,
-                              domain);
+// Decides every candidate by the bounded search that is complete for
+// certainty and possibility: valuations of Null(D) ∪ the candidates' nulls
+// ∪ Q's nulls into A = C ∪ Const(D) extended with one fresh constant per
+// null (genericity; the argument of Theorem 8's proof). One pass over that
+// space serves all candidates, so each v(D) is built once and the fresh
+// constants are minted once. A candidate drops out at its first deciding
+// point — a falsifying one when `certain`, a witnessing one otherwise — so
+// it runs exactly the membership checks its own search would. Returns, per
+// candidate, whether such a point exists.
+std::vector<bool> FindDecidingPoints(const Query& query, const Database& db,
+                                     const std::vector<Tuple>& candidates,
+                                     bool certain) {
+  std::vector<bool> decided(candidates.size(), false);
+  if (candidates.empty()) return decided;
+  std::vector<Value> nulls = db.Nulls();
+  for (const Tuple& candidate : candidates) {
+    AppendUnique(&nulls, candidate.Nulls());
   }
-  Query substituted(instance.query.name(), instance.query.free_variables(),
-                    ApplyValuationToFormula(instance.query.formula(), v),
-                    instance.query.variable_names());
-  return EvaluateMembership(substituted, valuated, valuated_tuple, domain);
+  AppendUnique(&nulls, query.formula()->MentionedNulls());
+  std::vector<Value> prefix = query.GenericityConstants();
+  AppendUnique(&prefix, db.Constants());
+  std::vector<Value> domain =
+      MakeConstantEnumeration(prefix, prefix.size() + nulls.size());
+  QueryWitness witness(query, db);
+  ValuationImage image(db, nulls, EngineImageMode());
+  std::vector<Value> point(nulls.size());
+  std::size_t open = candidates.size();
+  ForEachPoint(&point, 0, domain, [&] {
+    image.Assign(point);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (decided[i]) continue;
+      if (witness(image, candidates[i]) != certain) {
+        decided[i] = true;
+        --open;
+      }
+    }
+    return open > 0;
+  });
+  return decided;
 }
 
 }  // namespace
 
 bool IsCertainAnswer(const Query& query, const Database& db,
                      const Tuple& tuple) {
-  BoundedSearch search = MakeBoundedSearch(query, db, tuple);
-  bool formula_has_nulls = !query.formula()->MentionedNulls().empty();
   // Certain iff no valuation in the bounded space fails to witness.
-  return ForEachValuationUntil(
-      search.instance.nulls, search.domain, [&](const Valuation& v) {
-        return Witnesses(search.instance, v, db, search.base_adom,
-                         formula_has_nulls);
-      });
+  return !FindDecidingPoints(query, db, {tuple}, /*certain=*/true)[0];
 }
 
 bool IsPossibleAnswer(const Query& query, const Database& db,
                       const Tuple& tuple) {
-  BoundedSearch search = MakeBoundedSearch(query, db, tuple);
-  bool formula_has_nulls = !query.formula()->MentionedNulls().empty();
-  // Possible iff some valuation witnesses; stop at the first.
-  return !ForEachValuationUntil(
-      search.instance.nulls, search.domain, [&](const Valuation& v) {
-        return !Witnesses(search.instance, v, db, search.base_adom,
-                          formula_has_nulls);
-      });
+  // Possible iff some valuation witnesses.
+  return FindDecidingPoints(query, db, {tuple}, /*certain=*/false)[0];
 }
 
 std::vector<Tuple> CertainAnswers(const Query& query, const Database& db) {
+  std::vector<Tuple> candidates = NaiveEvaluate(query, db);
+  std::vector<bool> falsified =
+      FindDecidingPoints(query, db, candidates, /*certain=*/true);
   std::vector<Tuple> result;
-  for (const Tuple& candidate : NaiveEvaluate(query, db)) {
-    if (CancellationRequested()) break;
-    if (IsCertainAnswer(query, db, candidate)) result.push_back(candidate);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (!falsified[i]) result.push_back(candidates[i]);
   }
   return result;
 }
@@ -145,10 +122,12 @@ std::vector<Tuple> AllTuplesOverAdom(const Database& db, std::size_t arity) {
 }
 
 std::vector<Tuple> PossibleAnswers(const Query& query, const Database& db) {
+  std::vector<Tuple> candidates = AllTuplesOverAdom(db, query.arity());
+  std::vector<bool> witnessed =
+      FindDecidingPoints(query, db, candidates, /*certain=*/false);
   std::vector<Tuple> result;
-  for (const Tuple& candidate : AllTuplesOverAdom(db, query.arity())) {
-    if (CancellationRequested()) break;
-    if (IsPossibleAnswer(query, db, candidate)) result.push_back(candidate);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (witnessed[i]) result.push_back(candidates[i]);
   }
   return result;
 }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/support.h"
-#include "data/valuation.h"
+#include "core/valuation_engine.h"
 #include "query/eval.h"
 
 namespace zeroone {
@@ -76,8 +76,12 @@ StatusOr<Rational> OwaMK(const Query& query, const Database& db,
     return mask;
   };
   std::vector<std::uint64_t> image_masks;
-  ForEachValuation(instance.nulls, domain, [&](const Valuation& v) {
-    image_masks.push_back(mask_of(v.Apply(db)));
+  ValuationImage image(db, instance.nulls, EngineImageMode());
+  std::vector<Value> point(instance.nulls.size());
+  ForEachPoint(&point, 0, domain, [&] {
+    image.Assign(point);
+    image_masks.push_back(mask_of(image.database()));
+    return true;
   });
 
   // Enumerate all complete databases over the domain.

@@ -4,8 +4,7 @@
 #include <set>
 
 #include "core/support.h"
-#include "data/valuation.h"
-#include "query/eval.h"
+#include "core/valuation_engine.h"
 
 namespace zeroone {
 
@@ -65,43 +64,33 @@ StatusOr<AlignedPreferences> Align(const SupportInstance& instance,
   return aligned;
 }
 
-bool Witnesses(const SupportInstance& instance, const Valuation& v,
-               const Database& db, bool formula_has_nulls) {
-  Database valuated = v.Apply(db);
-  Tuple valuated_tuple = v.Apply(instance.tuple);
-  if (!formula_has_nulls) {
-    return EvaluateMembership(instance.query, valuated, valuated_tuple);
-  }
-  Query substituted(instance.query.name(), instance.query.free_variables(),
-                    ApplyValuationToFormula(instance.query.formula(), v),
-                    instance.query.variable_names());
-  return EvaluateMembership(substituted, valuated, valuated_tuple);
-}
+// The limit's branches: each null takes a preferred constant or a
+// dedicated fresh constant; accumulate Π weights on witnessed branches.
+struct LimitSearch {
+  const SupportInstance& instance;
+  const AlignedPreferences& aligned;
+  const std::vector<Value>& fresh;
+  QueryWitness witness;
+  ValuationImage image;
+  std::vector<Value> point;
+  Rational total{0};
 
-// Recursive enumeration for the limit: each null takes a preferred
-// constant or a dedicated fresh constant; accumulate Π weights on witnessed
-// branches.
-void SumLimit(const SupportInstance& instance, const Database& db,
-              const AlignedPreferences& aligned,
-              const std::vector<Value>& fresh, bool formula_has_nulls,
-              std::size_t index, Valuation* v, const Rational& weight,
-              Rational* total) {
-  if (weight.is_zero()) return;
-  if (index == instance.nulls.size()) {
-    if (Witnesses(instance, *v, db, formula_has_nulls)) *total += weight;
-    return;
+  void Sum(std::size_t index, const Rational& weight) {
+    if (weight.is_zero()) return;
+    if (index == instance.nulls.size()) {
+      image.Assign(point);
+      if (witness(image, instance.tuple)) total += weight;
+      return;
+    }
+    for (const auto& [constant, w] : aligned.tables[index]) {
+      point[index] = constant;
+      Sum(index + 1, weight * w);
+    }
+    // Generic branch: a fresh constant unique to this null.
+    point[index] = fresh[index];
+    Sum(index + 1, weight * aligned.fallback_mass[index]);
   }
-  Value null = instance.nulls[index];
-  for (const auto& [constant, w] : aligned.tables[index]) {
-    v->Bind(null, constant);
-    SumLimit(instance, db, aligned, fresh, formula_has_nulls, index + 1, v,
-             weight * w, total);
-  }
-  // Generic branch: a fresh constant unique to this null.
-  v->Bind(null, fresh[index]);
-  SumLimit(instance, db, aligned, fresh, formula_has_nulls, index + 1, v,
-           weight * aligned.fallback_mass[index], total);
-}
+};
 
 }  // namespace
 
@@ -111,17 +100,19 @@ StatusOr<Rational> PreferenceMuLimit(
   SupportInstance instance = MakeSupportInstance(query, db, tuple);
   StatusOr<AlignedPreferences> aligned = Align(instance, prefs);
   if (!aligned.ok()) return aligned.status();
-  bool formula_has_nulls = !query.formula()->MentionedNulls().empty();
   std::vector<Value> fresh;
   fresh.reserve(instance.nulls.size());
   for (std::size_t i = 0; i < instance.nulls.size(); ++i) {
     fresh.push_back(Value::FreshConstant());
   }
-  Valuation v;
-  Rational total(0);
-  SumLimit(instance, db, *aligned, fresh, formula_has_nulls, 0, &v,
-           Rational(1), &total);
-  return total;
+  LimitSearch search{instance,
+                     *aligned,
+                     fresh,
+                     QueryWitness(query, db),
+                     ValuationImage(db, instance.nulls, EngineImageMode()),
+                     instance.nulls};
+  search.Sum(0, Rational(1));
+  return search.total;
 }
 
 StatusOr<Rational> PreferenceMuK(const Query& query, const Database& db,
@@ -146,7 +137,6 @@ StatusOr<Rational> PreferenceMuK(const Query& query, const Database& db,
         "least one fallback constant");
   }
   std::vector<Value> domain = MakeConstantEnumeration(prefix, k);
-  bool formula_has_nulls = !query.formula()->MentionedNulls().empty();
 
   // Per-null per-domain-value probabilities.
   std::vector<std::map<Value, Rational>> preferred(instance.nulls.size());
@@ -161,17 +151,20 @@ StatusOr<Rational> PreferenceMuK(const Query& query, const Database& db,
         Rational(static_cast<std::int64_t>(fallback_count));
   }
 
+  QueryWitness witness(query, db);
+  ValuationImage image(db, instance.nulls, EngineImageMode());
+  std::vector<Value> point(instance.nulls.size());
   Rational total(0);
-  ForEachValuation(instance.nulls, domain, [&](const Valuation& v) {
+  ForEachPoint(&point, 0, domain, [&] {
     Rational weight(1);
     for (std::size_t i = 0; i < instance.nulls.size(); ++i) {
-      Value value = v.ValueOf(instance.nulls[i]);
-      auto it = preferred[i].find(value);
+      auto it = preferred[i].find(point[i]);
       weight *= it != preferred[i].end() ? it->second : fallback_each[i];
-      if (weight.is_zero()) break;
+      if (weight.is_zero()) return true;
     }
-    if (weight.is_zero()) return;
-    if (Witnesses(instance, v, db, formula_has_nulls)) total += weight;
+    image.Assign(point);
+    if (witness(image, instance.tuple)) total += weight;
+    return true;
   });
   return total;
 }

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "core/support.h"
+#include "core/valuation_engine.h"
 
 namespace zeroone {
 
@@ -15,17 +16,19 @@ MuEstimate EstimateMuK(const Query& query, const Database& db,
   SupportInstance instance = MakeSupportInstance(query, db, tuple);
   assert(k >= instance.prefix.size() &&
          "k must cover the enumeration prefix C ∪ Const(D)");
-  GenericInstance generic = ToGenericInstance(instance);
+  GenericInstance generic = ToGenericInstance(instance, db);
   std::vector<Value> domain = MakeConstantEnumeration(instance.prefix, k);
+  ValuationImage image(db, instance.nulls, EngineImageMode());
+  std::vector<Value> point(instance.nulls.size());
 
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<std::size_t> pick(0, domain.size() - 1);
   MuEstimate result;
   result.samples = samples;
   for (std::size_t s = 0; s < samples; ++s) {
-    Valuation v;
-    for (Value null : instance.nulls) v.Bind(null, domain[pick(rng)]);
-    if (generic.witness(v, v.Apply(db))) ++result.witnesses;
+    for (Value& value : point) value = domain[pick(rng)];
+    image.Assign(point);
+    if (generic.witness(image)) ++result.witnesses;
   }
   result.estimate =
       static_cast<double>(result.witnesses) / static_cast<double>(samples);

@@ -2,47 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 
+#include "core/valuation_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/eval.h"
 
 namespace zeroone {
-
-namespace {
-
-// Deduplicating append preserving order.
-void AppendUnique(std::vector<Value>* out, const std::vector<Value>& values) {
-  for (Value v : values) {
-    bool seen = false;
-    for (Value existing : *out) {
-      if (existing == v) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) out->push_back(v);
-  }
-}
-
-// v(ā) ∈ Q(v(D)): evaluates the instance under one valuation. Handles the
-// rare case of nulls inside the query formula (a pre-substituted query) by
-// rewriting the formula under v.
-bool WitnessedBy(const SupportInstance& instance, const Valuation& v,
-                 const Database& valuated_db, bool formula_has_nulls) {
-  Tuple valuated_tuple = v.Apply(instance.tuple);
-  if (!formula_has_nulls) {
-    return EvaluateMembership(instance.query, valuated_db, valuated_tuple);
-  }
-  Query valuated(instance.query.name(), instance.query.free_variables(),
-                 ApplyValuationToFormula(instance.query.formula(), v),
-                 instance.query.variable_names());
-  return EvaluateMembership(valuated, valuated_db, valuated_tuple);
-}
-
-}  // namespace
 
 SupportInstance MakeSupportInstance(const Query& query, const Database& db,
                                     const Tuple& tuple) {
@@ -58,38 +27,25 @@ SupportInstance MakeSupportInstance(const Query& query, const Database& db,
   return instance;
 }
 
-GenericInstance ToGenericInstance(const SupportInstance& instance) {
+GenericInstance ToGenericInstance(const SupportInstance& instance,
+                                  const Database& db) {
   GenericInstance generic;
   generic.nulls = instance.nulls;
   generic.prefix = instance.prefix;
-  bool formula_has_nulls = !instance.query.formula()->MentionedNulls().empty();
-  // The closure owns a copy of the FO instance.
-  SupportInstance owned = instance;
-  generic.witness = [owned, formula_has_nulls](
-                        const Valuation& v, const Database& valuated) {
-    return WitnessedBy(owned, v, valuated, formula_has_nulls);
+  auto witness = std::make_shared<const QueryWitness>(instance.query, db);
+  generic.witness = [witness, tuple = instance.tuple](
+                        const ValuationImage& image) {
+    return (*witness)(image, tuple);
   };
   return generic;
 }
 
 SupportCount CountSupport(const SupportInstance& instance, const Database& db,
                           std::size_t k) {
-  assert(k >= instance.prefix.size() &&
-         "k must cover the enumeration prefix C ∪ Const(D)");
   ZO_TRACE_SPAN("CountSupport");
-  std::vector<Value> domain = MakeConstantEnumeration(instance.prefix, k);
-  bool formula_has_nulls = !instance.query.formula()->MentionedNulls().empty();
-  SupportCount count{BigInt(0), BigInt(0)};
-  ForEachValuation(instance.nulls, domain, [&](const Valuation& v) {
-    ZO_COUNTER_INC("support.valuations_enumerated");
-    count.total += BigInt(1);
-    Database valuated = v.Apply(db);
-    if (WitnessedBy(instance, v, valuated, formula_has_nulls)) {
-      ZO_COUNTER_INC("support.witnesses_found");
-      count.support += BigInt(1);
-    }
-  });
-  return count;
+  GenericSupportCount count =
+      CountGenericSupport(ToGenericInstance(instance, db), db, k);
+  return SupportCount{std::move(count.support), std::move(count.total)};
 }
 
 Rational MuK(const Query& query, const Database& db, const Tuple& tuple,
@@ -108,7 +64,7 @@ Rational MuKParallel(const Query& query, const Database& db,
                      const Tuple& tuple, std::size_t k, std::size_t threads) {
   SupportInstance instance = MakeSupportInstance(query, db, tuple);
   GenericSupportCount count = CountGenericSupportParallel(
-      ToGenericInstance(instance), db, k, threads);
+      ToGenericInstance(instance, db), db, k, threads);
   if (count.total.is_zero()) return Rational(0);
   return Rational(count.support, count.total);
 }
@@ -120,43 +76,67 @@ BijectiveSupportCount CountBijectiveSupport(const SupportInstance& instance,
          "k must cover the enumeration prefix C ∪ Const(D)");
   ZO_TRACE_SPAN("CountBijectiveSupport");
   std::vector<Value> domain = MakeConstantEnumeration(instance.prefix, k);
-  bool formula_has_nulls = !instance.query.formula()->MentionedNulls().empty();
-  BijectiveSupportCount count{BigInt(0), BigInt(0), BigInt(0)};
-  ForEachValuation(instance.nulls, domain, [&](const Valuation& v) {
-    ZO_COUNTER_INC("support.valuations_enumerated");
-    count.total += BigInt(1);
-    if (!v.IsBijectiveAvoiding(instance.prefix)) return;
-    count.bijective += BigInt(1);
-    Database valuated = v.Apply(db);
-    if (WitnessedBy(instance, v, valuated, formula_has_nulls)) {
-      ZO_COUNTER_INC("support.witnesses_found");
-      count.support += BigInt(1);
+  QueryWitness witness(instance.query, db);
+  ValuationImage image(db, instance.nulls, EngineImageMode());
+  std::vector<Value> point(instance.nulls.size());
+  PointTally tally;
+  std::uint64_t bijective = 0;
+  ForEachPoint(&point, 0, domain, [&] {
+    ++tally.total;
+    image.Assign(point);
+    if (!image.ToValuation().IsBijectiveAvoiding(instance.prefix)) {
+      return true;
     }
+    ++bijective;
+    if (witness(image, instance.tuple)) ++tally.support;
+    return true;
   });
-  return count;
+  ZO_COUNTER_ADD("support.valuations_enumerated", tally.total);
+  ZO_COUNTER_ADD("support.witnesses_found", tally.support);
+  return BijectiveSupportCount{TallyToBigInt(tally.support),
+                               TallyToBigInt(bijective),
+                               TallyToBigInt(tally.total)};
 }
 
-Rational MK(const Query& query, const Database& db, const Tuple& tuple,
-            std::size_t k) {
-  ZO_TRACE_SPAN("MK");
+namespace {
+
+// The distinct outcomes v(D) over V^k(D), all and witnessed, each mapped
+// through `outcome` first (the identity for m^k, the isomorphism type for
+// ν^k); the ratio of their counts.
+Rational OutcomeRatio(
+    const Query& query, const Database& db, const Tuple& tuple, std::size_t k,
+    const std::function<Database(const Database&)>& outcome) {
   SupportInstance instance = MakeSupportInstance(query, db, tuple);
   assert(k >= instance.prefix.size() &&
          "k must cover the enumeration prefix C ∪ Const(D)");
   std::vector<Value> domain = MakeConstantEnumeration(instance.prefix, k);
-  bool formula_has_nulls = !query.formula()->MentionedNulls().empty();
+  QueryWitness witness(query, db);
+  ValuationImage image(db, instance.nulls, EngineImageMode());
+  std::vector<Value> point(instance.nulls.size());
   std::set<Database> all_outcomes;
   std::set<Database> witnessed_outcomes;
-  ForEachValuation(instance.nulls, domain, [&](const Valuation& v) {
-    ZO_COUNTER_INC("support.valuations_enumerated");
-    Database valuated = v.Apply(db);
-    if (WitnessedBy(instance, v, valuated, formula_has_nulls)) {
-      witnessed_outcomes.insert(valuated);
-    }
-    all_outcomes.insert(std::move(valuated));
+  std::uint64_t points = 0;
+  ForEachPoint(&point, 0, domain, [&] {
+    ++points;
+    image.Assign(point);
+    Database out = outcome(image.database());
+    if (witness(image, instance.tuple)) witnessed_outcomes.insert(out);
+    all_outcomes.insert(std::move(out));
+    return true;
   });
+  ZO_COUNTER_ADD("support.valuations_enumerated", points);
   if (all_outcomes.empty()) return Rational(0);
   return Rational(BigInt(static_cast<std::int64_t>(witnessed_outcomes.size())),
                   BigInt(static_cast<std::int64_t>(all_outcomes.size())));
+}
+
+}  // namespace
+
+Rational MK(const Query& query, const Database& db, const Tuple& tuple,
+            std::size_t k) {
+  ZO_TRACE_SPAN("MK");
+  return OutcomeRatio(query, db, tuple, k,
+                      [](const Database& valuated) { return valuated; });
 }
 
 Rational MK(const Query& query, const Database& db, std::size_t k) {
@@ -220,30 +200,15 @@ Rational NuK(const Query& query, const Database& db, const Tuple& tuple,
              std::size_t k) {
   ZO_TRACE_SPAN("NuK");
   SupportInstance instance = MakeSupportInstance(query, db, tuple);
-  assert(k >= instance.prefix.size() &&
-         "k must cover the enumeration prefix C ∪ Const(D)");
-  std::vector<Value> domain = MakeConstantEnumeration(instance.prefix, k);
-  bool formula_has_nulls = !query.formula()->MentionedNulls().empty();
   std::set<Value> a_set(instance.prefix.begin(), instance.prefix.end());
   // Canonical slots: fresh constants, shared across all outcomes.
   std::vector<Value> slots;
   for (std::size_t i = 0; i < instance.nulls.size(); ++i) {
     slots.push_back(Value::FreshConstant());
   }
-  std::set<Database> all_types;
-  std::set<Database> witnessed_types;
-  ForEachValuation(instance.nulls, domain, [&](const Valuation& v) {
-    ZO_COUNTER_INC("support.valuations_enumerated");
-    Database valuated = v.Apply(db);
-    Database canonical = CanonicalType(valuated, a_set, slots);
-    if (WitnessedBy(instance, v, valuated, formula_has_nulls)) {
-      witnessed_types.insert(canonical);
-    }
-    all_types.insert(std::move(canonical));
+  return OutcomeRatio(query, db, tuple, k, [&](const Database& valuated) {
+    return CanonicalType(valuated, a_set, slots);
   });
-  if (all_types.empty()) return Rational(0);
-  return Rational(BigInt(static_cast<std::int64_t>(witnessed_types.size())),
-                  BigInt(static_cast<std::int64_t>(all_types.size())));
 }
 
 Rational NuK(const Query& query, const Database& db, std::size_t k) {

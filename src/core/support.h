@@ -39,9 +39,11 @@ SupportInstance MakeSupportInstance(const Query& query, const Database& db,
                                     const Tuple& tuple);
 
 // Lowers the first-order instance to the formalism-agnostic form of
-// core/generic_instance.h (nulls + prefix + witness closure). The returned
-// object owns copies of everything it needs, so it outlives the input.
-GenericInstance ToGenericInstance(const SupportInstance& instance);
+// core/generic_instance.h (nulls + prefix + witness closure), resolving the
+// query's plan once against D (core/valuation_engine.h). The returned
+// object owns copies of everything it needs, so it outlives the inputs.
+GenericInstance ToGenericInstance(const SupportInstance& instance,
+                                  const Database& db);
 
 // |Supp^k(Q, D, ā)| and |V^k(D)| = k^m for the given k.
 // Precondition: k >= instance.prefix.size() (so that A ⊆ {c₁..c_k}) and

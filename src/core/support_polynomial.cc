@@ -22,7 +22,7 @@ SupportPolynomial ComputeSupportPolynomial(
     }
   }
   GenericSupportPolynomial generic =
-      ComputeGenericSupportPolynomial(ToGenericInstance(instance), db);
+      ComputeGenericSupportPolynomial(ToGenericInstance(instance, db), db);
   return SupportPolynomial{std::move(generic.count), generic.valid_from};
 }
 

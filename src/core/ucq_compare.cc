@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "common/cancel.h"
 #include "core/measure.h"
+#include "core/valuation_engine.h"
 #include "data/valuation.h"
 #include "query/fragments.h"
 #include "query/matcher.h"
@@ -127,6 +129,9 @@ struct SeparationContext {
   std::vector<std::size_t> free_variables;
   std::size_t arity;
   std::vector<Value> fresh_pool;  // Fresh constants for free null classes.
+  // v′(D) at the search leaves, over Null(D); nulls v′ leaves unbound map
+  // to themselves. Working state, moved from leaf to leaf.
+  std::unique_ptr<ValuationImage> image;
 };
 
 // Builds the most-general valuation for the current unification state:
@@ -177,10 +182,9 @@ bool MatchAtoms(const SeparationContext& context, const Tuple& b,
     // Full assignment: build v′ and test v′(b̄) ∉ Q^naive(v′(D)).
     Valuation v = MostGeneralValuation(unifier, *domain_nulls,
                                        context.fresh_pool);
-    Database valuated = v.Apply(*context.db);
-    Tuple b_image = v.Apply(b);
-    return !UcqMembership(context.ucq, context.free_variables, valuated,
-                          b_image);
+    context.image->Assign(v);
+    return !UcqMembership(context.ucq, context.free_variables,
+                          context.image->database(), v.Apply(b));
   }
   const CQAtom& atom = clause.atoms[atom_index];
   if (!context.db->HasRelation(atom.relation)) return false;
@@ -226,6 +230,8 @@ StatusOr<SeparationContext> MakeContext(const Query& query, const Database& db,
   for (std::size_t i = 0; i < pool_size; ++i) {
     context.fresh_pool.push_back(Value::FreshConstant());
   }
+  context.image =
+      std::make_unique<ValuationImage>(db, db.Nulls(), EngineImageMode());
   return context;
 }
 

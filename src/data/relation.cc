@@ -283,6 +283,16 @@ void Relation::InsertBatch(const Relation& other) {
   MergeFreshRows(fresh, fresh_rows);
 }
 
+void Relation::AssignSortedRows(std::vector<Value>* arena, std::size_t rows) {
+  assert(arena->size() == rows * arity_ && "arena size must match the rows");
+  arena_.swap(*arena);
+  sorted_.resize(arity_ == 0 ? std::min<std::size_t>(rows, 1) : rows);
+  for (std::size_t i = 0; i < sorted_.size(); ++i) {
+    sorted_[i] = static_cast<std::uint32_t>(i);
+  }
+  InvalidateIndexes();
+}
+
 bool Relation::Contains(const Tuple& tuple) const {
   assert(tuple.arity() == arity_ && "tuple arity mismatch");
   return Contains(tuple.values().data());

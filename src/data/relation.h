@@ -203,6 +203,11 @@ class Relation {
   void InsertBatch(const std::vector<Tuple>& tuples);
   // Bulk insert of every row of `other` (same arity required).
   void InsertBatch(const Relation& other);
+  // Replaces the contents with `rows` rows stored back to back in `*arena`,
+  // which must be strictly ascending (sorted, no duplicates). The storage
+  // is swapped with `*arena`, so a caller that rebuilds one relation over
+  // and over (the valuation image) reuses both buffers.
+  void AssignSortedRows(std::vector<Value>* arena, std::size_t rows);
 
   bool Contains(const Tuple& tuple) const;
   // Allocation-free membership probe over `arity()` values.

@@ -95,19 +95,16 @@ Valuation MakeBijectiveValuation(const Database& db) {
   return v;
 }
 
-bool ForEachValuationUntil(
-    const std::vector<Value>& nulls, const std::vector<Value>& domain,
-    const std::function<bool(const Valuation&)>& visitor) {
-  if (nulls.empty()) {
-    return visitor(Valuation());
-  }
+bool ForEachPoint(std::vector<Value>* point, std::size_t from,
+                  const std::vector<Value>& domain,
+                  const std::function<bool()>& visit) {
+  const std::size_t m = point->size();
+  if (from >= m) return visit();
   assert(!domain.empty() && "cannot valuate nulls over an empty domain");
+  if (domain.empty()) return true;
   // Odometer over domain indices, least significant digit first.
-  std::vector<std::size_t> indices(nulls.size(), 0);
-  Valuation valuation;
-  for (std::size_t i = 0; i < nulls.size(); ++i) {
-    valuation.Bind(nulls[i], domain[0]);
-  }
+  std::vector<std::size_t> indices(m, 0);
+  for (std::size_t i = from; i < m; ++i) (*point)[i] = domain[0];
   while (true) {
     // Cooperative cancellation: a cancelled enumeration stops early and
     // reports false; the token's installer discards the partial result.
@@ -120,19 +117,32 @@ bool ForEachValuationUntil(
       if (CancelToken* token = CurrentCancelToken()) token->Cancel();
       return false;
     }
-    if (!visitor(valuation)) return false;
-    std::size_t position = 0;
-    while (position < indices.size()) {
+    if (!visit()) return false;
+    std::size_t position = from;
+    while (position < m) {
       if (++indices[position] < domain.size()) {
-        valuation.Bind(nulls[position], domain[indices[position]]);
+        (*point)[position] = domain[indices[position]];
         break;
       }
       indices[position] = 0;
-      valuation.Bind(nulls[position], domain[0]);
+      (*point)[position] = domain[0];
       ++position;
     }
-    if (position == indices.size()) return true;  // Odometer wrapped.
+    if (position == m) return true;  // Odometer wrapped.
   }
+}
+
+bool ForEachValuationUntil(
+    const std::vector<Value>& nulls, const std::vector<Value>& domain,
+    const std::function<bool(const Valuation&)>& visitor) {
+  std::vector<Value> point(nulls.size());
+  Valuation valuation;
+  return ForEachPoint(&point, 0, domain, [&] {
+    for (std::size_t i = 0; i < nulls.size(); ++i) {
+      valuation.Bind(nulls[i], point[i]);
+    }
+    return visitor(valuation);
+  });
 }
 
 void ForEachValuation(const std::vector<Value>& nulls,

@@ -68,6 +68,18 @@ std::ostream& operator<<(std::ostream& os, const Valuation& valuation);
 // (Definition 3).
 Valuation MakeBijectiveValuation(const Database& db);
 
+// The odometer under every valuation enumeration: visits each point of
+// domain^(m − from) over positions [from, m) of `*point` (m =
+// point->size()), in odometer order with position `from` the fastest digit,
+// holding positions below `from` at their current values. `*point` is
+// updated in place before each visit; with from == m there is one point,
+// visited without polling. Otherwise polls the thread's CancelToken and
+// the core.valuation.cancel fault point before each visit. Returns false
+// iff a visit returned false or the enumeration was cancelled.
+bool ForEachPoint(std::vector<Value>* point, std::size_t from,
+                  const std::vector<Value>& domain,
+                  const std::function<bool()>& visit);
+
 // Enumerates V^k(D) restricted to the given nulls: every total map from
 // `nulls` into `domain` (|domain|^|nulls| valuations). The visited object is
 // reused between calls; copy it if kept. Enumeration order is the odometer

@@ -1,5 +1,6 @@
 #include "data/value.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <mutex>
@@ -100,6 +101,14 @@ std::string Value::ToString() const {
 
 std::ostream& operator<<(std::ostream& os, Value value) {
   return os << value.ToString();
+}
+
+void AppendUnique(std::vector<Value>* out, const std::vector<Value>& values) {
+  for (Value v : values) {
+    if (std::find(out->begin(), out->end(), v) == out->end()) {
+      out->push_back(v);
+    }
+  }
 }
 
 std::vector<Value> MakeConstantEnumeration(const std::vector<Value>& required,

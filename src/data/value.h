@@ -68,6 +68,10 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, Value value);
 
+// Appends each of `values` not yet in `*out`, keeping first-occurrence
+// order (the null and prefix lists of the measure instances).
+void AppendUnique(std::vector<Value>* out, const std::vector<Value>& values);
+
 // Builds an enumeration c₁, …, c_k of k distinct constants whose prefix is
 // the given `required` constants (deduplicated, order preserved), extended
 // with globally fresh constants. This realizes the paper's convention that

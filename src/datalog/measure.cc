@@ -6,18 +6,6 @@
 
 namespace zeroone {
 
-namespace {
-
-void AppendUnique(std::vector<Value>* out, const std::vector<Value>& values) {
-  for (Value v : values) {
-    bool seen = false;
-    for (Value existing : *out) seen = seen || existing == v;
-    if (!seen) out->push_back(v);
-  }
-}
-
-}  // namespace
-
 GenericInstance MakeDatalogInstance(const DatalogProgram& program,
                                     const Database& db, const Tuple& tuple) {
   assert(tuple.arity() == program.goal_arity() &&
@@ -34,8 +22,9 @@ GenericInstance MakeDatalogInstance(const DatalogProgram& program,
   DatalogProgram owned_program = program;
   Tuple owned_tuple = tuple;
   instance.witness = [owned_program, owned_tuple](
-                         const Valuation& v, const Database& valuated) {
-    return DatalogMembership(owned_program, valuated, v.Apply(owned_tuple));
+                         const ValuationImage& image) {
+    return DatalogMembership(owned_program, image.database(),
+                             image.Apply(owned_tuple));
   };
   return instance;
 }

@@ -324,25 +324,36 @@ bool EvaluateMembership(const Query& query, const Database& db,
 bool EvaluateMembership(const Query& query, const Database& db,
                         const Tuple& tuple,
                         const std::vector<Value>& domain) {
-  assert(tuple.arity() == query.arity() && "membership tuple arity mismatch");
+  return PreparedMembership(query, db)(db, tuple, domain);
+}
+
+PreparedMembership::PreparedMembership(const Query& query, const Database& db)
+    : query_(query) {
+  if (plan::plan_mode() == plan::PlanMode::kCompiled) {
+    compiled_ = PlanFor(query, db, /*enumerate=*/false);
+  }
+}
+
+bool PreparedMembership::operator()(const Database& db, const Tuple& tuple,
+                                    const std::vector<Value>& domain) const {
+  assert(tuple.arity() == query_.arity() && "membership tuple arity mismatch");
   ZO_COUNTER_INC("eval.membership_checks");
-  Environment env(query.variable_count());
+  Environment env(query_.variable_count());
   for (std::size_t i = 0; i < tuple.arity(); ++i) {
-    std::size_t var = query.free_variables()[i];
+    std::size_t var = query_.free_variables()[i];
     // Repeated output variables must agree.
     if (env[var] && *env[var] != tuple[i]) return false;
     env[var] = tuple[i];
   }
-  if (plan::plan_mode() == plan::PlanMode::kCompiled) {
-    auto compiled = PlanFor(query, db, /*enumerate=*/false);
+  if (compiled_ != nullptr) {
     std::vector<Value> inputs;
-    inputs.reserve(compiled->program.input_vars.size());
-    for (std::size_t var : compiled->program.input_vars) {
+    inputs.reserve(compiled_->program.input_vars.size());
+    for (std::size_t var : compiled_->program.input_vars) {
       inputs.push_back(*env[var]);
     }
-    return plan::ExecuteMembership(compiled->program, db, domain, inputs);
+    return plan::ExecuteMembership(compiled_->program, db, domain, inputs);
   }
-  return EvaluateFormula(*query.formula(), db, domain, &env);
+  return EvaluateFormula(*query_.formula(), db, domain, &env);
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #ifndef ZEROONE_QUERY_EVAL_H_
 #define ZEROONE_QUERY_EVAL_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,6 +13,10 @@
 #include "query/query.h"
 
 namespace zeroone {
+
+namespace plan {
+struct CompiledQuery;
+}  // namespace plan
 
 // First-order evaluation with active-domain semantics: quantifiers range
 // over adom(D). Evaluation is purely syntactic on values — two values are
@@ -52,9 +57,30 @@ bool EvaluateMembership(const Query& query, const Database& db,
 // As above, but quantifying over a caller-provided `domain` (normally a
 // precomputed db.ActiveDomain()). Callers probing many tuples against one
 // database should use this overload: the three-argument form recomputes the
-// active domain on every call.
+// active domain on every call. A one-shot PreparedMembership.
 bool EvaluateMembership(const Query& query, const Database& db,
                         const Tuple& tuple, const std::vector<Value>& domain);
+
+// Membership in one query, asked of many databases of one schema: the
+// exponential loops of core/ ask it of v(D) for every valuation v. The plan
+// is resolved once, at construction, through the same scoped plan cache
+// EvaluateMembership uses (compiled against `db`; a plan is valid for any
+// database of the schema), and under PlanMode::kInterpret every call runs
+// the interpreter. Calls are const and may run concurrently.
+class PreparedMembership {
+ public:
+  PreparedMembership(const Query& query, const Database& db);
+
+  // db ⊨ Q(tuple), quantifying over `domain` (normally db.ActiveDomain()).
+  // Precondition: tuple.arity() == query.arity().
+  bool operator()(const Database& db, const Tuple& tuple,
+                  const std::vector<Value>& domain) const;
+
+ private:
+  Query query_;
+  // Null under PlanMode::kInterpret.
+  std::shared_ptr<const plan::CompiledQuery> compiled_;
+};
 
 // Applies a valuation to the value terms of a formula: every null value
 // bound by `v` is replaced by its image. Needed when a tuple containing

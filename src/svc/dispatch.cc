@@ -90,6 +90,52 @@ static_assert(kShipBatchBytes + kMaxWalRecordBytes + 64 <= kMaxPayloadBytes,
 // on its first allocation.
 constexpr std::uint64_t kMaxMukK = 4096;
 
+struct MukArgs {
+  std::size_t k = 0;
+  Tuple tuple;
+};
+
+// `muk <k> <tuple>`: k a decimal in 1..kMaxMukK, then a tuple of the
+// query's arity. The run and @explain=1 both parse with it.
+StatusOr<MukArgs> ParseMukArgs(const Query& query, const std::string& args) {
+  const std::size_t space = args.find(' ');
+  StatusOr<std::uint64_t> parsed_k = ParseUint64(args.substr(0, space));
+  if (!parsed_k.ok() || *parsed_k == 0) {
+    return Status::Error("usage: muk <k> <tuple>");
+  }
+  if (*parsed_k > kMaxMukK) {
+    return Status::Error("k must be at most ", kMaxMukK, ", got ", *parsed_k);
+  }
+  MukArgs parsed;
+  parsed.k = *parsed_k;
+  ZO_ASSIGN_OR_RETURN(
+      parsed.tuple,
+      ParseAnswerTuple(query, std::string_view(args).substr(
+                                  std::min(space, args.size()))));
+  return parsed;
+}
+
+// The arguments of an explainable query command, checked by the parsers
+// its run uses, so @explain=1 answers ERR exactly where the run would:
+// the tuples of the exact commands, one tuple for mu and poly, k and a
+// tuple for muk. Other commands take no arguments to check.
+StatusOr<std::vector<Tuple>> ParseQueryCommandTuples(
+    const std::string& command, const Query& query, const std::string& args) {
+  ExactCommand exact;
+  if (ParseExactCommand(command, &exact)) {
+    return ParseExactTuples(exact, query, args);
+  }
+  if (command == "mu" || command == "poly") {
+    ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseAnswerTuple(query, args));
+    return std::vector<Tuple>{std::move(tuple)};
+  }
+  if (command == "muk") {
+    ZO_ASSIGN_OR_RETURN(MukArgs muk, ParseMukArgs(query, args));
+    return std::vector<Tuple>{std::move(muk.tuple)};
+  }
+  return std::vector<Tuple>{};
+}
+
 // Runs one command against the session. The caller holds the appropriate
 // session lock. Sets *mutated when session state changed (the caller then
 // bumps the version and invalidates cache entries).
@@ -158,21 +204,9 @@ StatusOr<std::string> RunCommand(SessionState* session,
     out << "mu = " << MuLimit(session->query, session->db, tuple);
   } else if (command == "muk") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    const std::size_t space = args.find(' ');
-    StatusOr<std::uint64_t> parsed_k = ParseUint64(args.substr(0, space));
-    if (!parsed_k.ok() || *parsed_k == 0) {
-      return Status::Error("usage: muk <k> <tuple>");
-    }
-    if (*parsed_k > kMaxMukK) {
-      return Status::Error("k must be at most ", kMaxMukK, ", got ",
-                           *parsed_k);
-    }
-    const std::size_t k = *parsed_k;
-    ZO_ASSIGN_OR_RETURN(
-        Tuple tuple,
-        ParseAnswerTuple(session->query,
-                         std::string_view(args).substr(
-                             std::min(space, args.size()))));
+    ZO_ASSIGN_OR_RETURN(MukArgs muk, ParseMukArgs(session->query, args));
+    const std::size_t k = muk.k;
+    const Tuple& tuple = muk.tuple;
     SupportInstance instance =
         MakeSupportInstance(session->query, session->db, tuple);
     if (k < instance.prefix.size()) {
@@ -607,16 +641,16 @@ Response Dispatcher::Execute(const Request& request) {
         response.payload = has_query.message();
         return response;
       }
+      StatusOr<std::vector<Tuple>> tuples = ParseQueryCommandTuples(
+          request.command, session->query, request.args);
+      if (!tuples.ok()) {
+        response.status = WireStatus::kErr;
+        response.payload = tuples.status().message();
+        return response;
+      }
       response.payload = ExplainQueryPlan(session->query, session->db);
       ExactCommand exact;
       if (ParseExactCommand(request.command, &exact)) {
-        StatusOr<std::vector<Tuple>> tuples =
-            ParseExactTuples(exact, session->query, request.args);
-        if (!tuples.ok()) {
-          response.status = WireStatus::kErr;
-          response.payload = tuples.status().message();
-          return response;
-        }
         response.payload +=
             ExplainExactPlan(exact, session->query, session->constraints,
                              session->db, tuples.value());

@@ -538,7 +538,7 @@ void Transport::EventLoopRun(EventLoop* loop) {
           std::static_pointer_cast<Conn>(raw->shared_from_this());
       std::uint32_t mask = events[i].events;
       if ((mask & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) != 0) {
-        HandleReadable(loop, conn);
+        HandleReadable(conn);
       }
       if ((mask & EPOLLOUT) != 0) {
         FlushConnection(loop, conn);
@@ -571,7 +571,7 @@ void Transport::EventLoopRun(EventLoop* loop) {
         // Raced with drain: half-close immediately and process the EOF now
         // (the local SHUT_RD itself produces no fresh epoll event).
         conn->ShutdownRead();
-        HandleReadable(loop, conn);
+        HandleReadable(conn);
       }
     }
     for (auto& conn : flushes) FlushConnection(loop, conn);
@@ -579,7 +579,7 @@ void Transport::EventLoopRun(EventLoop* loop) {
       loop->shut_reads_done = true;
       for (auto& conn : loop->conns) {
         conn->ShutdownRead();
-        HandleReadable(loop, conn);
+        HandleReadable(conn);
       }
     }
     SweepConnections(loop);
@@ -604,8 +604,7 @@ void Transport::EventLoopRun(EventLoop* loop) {
   }
 }
 
-void Transport::HandleReadable(EventLoop* loop,
-                               const std::shared_ptr<Conn>& conn) {
+void Transport::HandleReadable(const std::shared_ptr<Conn>& conn) {
   if (!conn->registered() || conn->reading_done()) return;
   char chunk[4096];
   // Fairness bound: a client blasting pipelined requests yields the loop

@@ -239,7 +239,7 @@ class Transport {
   void AcceptLoop();
   void ServeConnection(std::shared_ptr<Conn> conn);  // Legacy reader body.
   void EventLoopRun(EventLoop* loop);
-  void HandleReadable(EventLoop* loop, const std::shared_ptr<Conn>& conn);
+  void HandleReadable(const std::shared_ptr<Conn>& conn);
   void FlushConnection(EventLoop* loop, const std::shared_ptr<Conn>& conn);
   void SweepConnections(EventLoop* loop);
   void CountOutboxOverflow();

@@ -32,7 +32,7 @@ TEST_P(ParallelCountAgreement, MatchesSequential) {
   Query fo = GenerateRandomFo(q_options, 0.35);
 
   GenericInstance instance =
-      ToGenericInstance(MakeSupportInstance(fo, db, Tuple{}));
+      ToGenericInstance(MakeSupportInstance(fo, db, Tuple{}), db);
   for (std::size_t k : {5u, 8u}) {
     GenericSupportCount sequential = CountGenericSupport(instance, db, k);
     for (std::size_t threads : {2u, 4u, 16u}) {
@@ -84,7 +84,7 @@ TEST(ParallelCountTest, DegenerateCases) {
   q_options.seed = 4;
   Query q = GenerateRandomUcq(q_options);
   GenericInstance instance =
-      ToGenericInstance(MakeSupportInstance(q, db, Tuple{}));
+      ToGenericInstance(MakeSupportInstance(q, db, Tuple{}), db);
   GenericSupportCount count =
       CountGenericSupportParallel(instance, db, 4, 8);
   EXPECT_EQ(count.total, BigInt(1));

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "obs/metrics.h"
 #include "svc/cache.h"
 #include "svc/client.h"
 #include "svc/dispatch.h"
@@ -325,6 +326,67 @@ TEST(DispatcherTest, MukRefusesBadAndHugeK) {
   Response ok = dispatcher.Execute(MakeRequest("muk", "6 (c1)"));
   EXPECT_EQ(ok.status, WireStatus::kOk) << ok.payload;
 }
+
+TEST(DispatcherTest, ExplainRejectsArgumentsTheRunRejects) {
+  Dispatcher dispatcher(Dispatcher::Options{});
+  ASSERT_EQ(dispatcher.Execute(MakeRequest("db", "R(1) = { (_1) }")).status,
+            WireStatus::kOk);
+  ASSERT_EQ(dispatcher.Execute(MakeRequest("query", "Q(x) := R(x)")).status,
+            WireStatus::kOk);
+  // One malformed or out-of-range argument per command: @explain=1 must
+  // refuse it with the run's own message.
+  const std::pair<const char*, const char*> cases[] = {
+      {"mu", "(c1, c2)"},    // Wrong arity.
+      {"poly", "(c1"},       // Malformed tuple.
+      {"muk", "0 (c1)"},     // k below 1.
+      {"muk", "4097 (c1)"},  // k above the cap.
+      {"muk", "6 (c1, c2)"}, // Wrong arity.
+  };
+  for (const auto& [command, args] : cases) {
+    Request run = MakeRequest(command, args);
+    run.no_cache = true;
+    Response ran = dispatcher.Execute(run);
+    EXPECT_EQ(ran.status, WireStatus::kErr) << command << " " << args;
+    Request explain = run;
+    explain.explain = true;
+    Response explained = dispatcher.Execute(explain);
+    EXPECT_EQ(explained.status, WireStatus::kErr) << command << " " << args;
+    EXPECT_EQ(explained.payload, ran.payload) << command << " " << args;
+  }
+  // Well-formed arguments still explain.
+  for (const auto& [command, args] :
+       {std::pair<const char*, const char*>{"mu", "(c1)"},
+        {"poly", "(c1)"},
+        {"muk", "6 (c1)"}}) {
+    Request explain = MakeRequest(command, args);
+    explain.explain = true;
+    Response explained = dispatcher.Execute(explain);
+    EXPECT_EQ(explained.status, WireStatus::kOk) << explained.payload;
+  }
+}
+
+#if ZEROONE_OBS_ENABLED
+TEST(DispatcherTest, EnumeratorCertainMintsConstantsOncePerRequest) {
+  Dispatcher dispatcher(Dispatcher::Options{});
+  dispatcher.Execute(MakeRequest("db", kFastDb));
+  // A negation query runs the enumerator (core/exact_plan.h); its naive
+  // answers c1..c4 are the four candidates the bounded search checks.
+  ASSERT_EQ(dispatcher
+                .Execute(MakeRequest(
+                    "query", "Q(x) := exists y . R(x, y) & !R(y, x)"))
+                .status,
+            WireStatus::kOk);
+  obs::Counter& fresh =
+      obs::Registry::Global().GetCounter("data.fresh_constants");
+  Request certain = MakeRequest("certain");
+  certain.no_cache = true;
+  const std::uint64_t before = fresh.value();
+  Response response = dispatcher.Execute(certain);
+  ASSERT_EQ(response.status, WireStatus::kOk) << response.payload;
+  // One enumeration constant per null of D (4), not 4 per candidate.
+  EXPECT_EQ(fresh.value() - before, 4u);
+}
+#endif
 
 TEST(DispatcherTest, UnknownCommandsAnswerErr) {
   // ParseRequestLine screens wire requests; in-process callers reach
