@@ -23,6 +23,7 @@
 #include "datalog/measure.h"
 #include "datalog/parser.h"
 #include "gen/random_db.h"
+#include "plan/mode.h"
 
 using namespace zeroone;
 
@@ -94,28 +95,29 @@ void ConvergenceTable() {
 }
 
 void IndexedSemiNaiveTable(bench::Experiment* experiment) {
-  // The semi-naive join E(X, Y), T(Y, Z): under full scans every delta
-  // tuple is matched against all of T; under the probe path the bound join
-  // column pins the T candidates. Timed once per storage mode on a sparse
-  // graph whose closure dwarfs the edge set.
+  // The semi-naive join E(X, Y), T(Y, Z): under the oracle's full scans
+  // (ZEROONE_PLAN=interpret) every delta tuple is matched against all of T;
+  // under compiled plans the bound join column pins the T candidates.
+  // Timed once per plan mode on a sparse graph whose closure dwarfs the
+  // edge set.
   Database db = RandomGraph(/*edges=*/1200, /*nodes=*/700, /*nulls=*/0, 9090);
   DatalogProgram program = ParseDatalogProgram(kTransitiveClosure).value();
-  auto timed = [&](StorageMode mode, std::size_t* answers) {
-    StorageMode previous = storage_mode();
-    SetStorageMode(mode);
+  auto timed = [&](plan::PlanMode mode, std::size_t* answers) {
+    plan::PlanMode previous = plan::plan_mode();
+    plan::SetPlanMode(mode);
     auto start = std::chrono::steady_clock::now();
     std::vector<Tuple> closure = EvaluateDatalog(program, db);
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-    SetStorageMode(previous);
+    plan::SetPlanMode(previous);
     *answers = closure.size();
     return ms;
   };
   std::size_t scan_answers = 0;
   std::size_t indexed_answers = 0;
-  double scan_ms = timed(StorageMode::kScan, &scan_answers);
-  double indexed_ms = timed(StorageMode::kIndexed, &indexed_answers);
+  double scan_ms = timed(plan::PlanMode::kInterpret, &scan_answers);
+  double indexed_ms = timed(plan::PlanMode::kCompiled, &indexed_answers);
   std::printf("indexed storage on semi-naive closure (%zu facts): scan "
               "%.1f ms, indexed %.1f ms (%.1fx)\n\n",
               scan_answers, scan_ms, indexed_ms,

@@ -20,6 +20,7 @@
 #include "data/relation.h"
 #include "gen/random_db.h"
 #include "gen/random_query.h"
+#include "plan/mode.h"
 #include "query/eval.h"
 #include "query/fragments.h"
 
@@ -100,9 +101,9 @@ void ReportContainment(bench::Experiment* experiment) {
 
 // The homomorphism search that underlies the naive/certain story for UCQs
 // (a tuple is certain iff the canonical instance maps into every
-// completion): the indexed path orders patterns most-constrained-first and
-// probes the bound columns, so it visits far fewer search nodes than the
-// historical scan-everything backtracking.
+// completion): compiled plans order patterns most-constrained-first and
+// probe the bound columns, so they visit far fewer search nodes than the
+// oracle's (ZEROONE_PLAN=interpret) scan-everything backtracking.
 void HomomorphismNodesReport(bench::Experiment* experiment) {
 #if ZEROONE_OBS_ENABLED
   // Target: one genuine 7-edge path preceded (in sorted row order) by 30
@@ -131,20 +132,20 @@ void HomomorphismNodesReport(bench::Experiment* experiment) {
         .GetCounter("homomorphism.search_nodes")
         .value();
   };
-  auto measure = [&](StorageMode mode, bool* found) {
-    StorageMode previous = storage_mode();
-    SetStorageMode(mode);
+  auto measure = [&](plan::PlanMode mode, bool* found) {
+    plan::PlanMode previous = plan::plan_mode();
+    plan::SetPlanMode(mode);
     std::uint64_t before = nodes();
     *found = FindHomomorphism(from, to).has_value();
     std::uint64_t visited = nodes() - before;
-    SetStorageMode(previous);
+    plan::SetPlanMode(previous);
     return visited;
   };
   bool scan_found = false;
   bool indexed_found = false;
-  std::uint64_t scan_nodes = measure(StorageMode::kScan, &scan_found);
+  std::uint64_t scan_nodes = measure(plan::PlanMode::kInterpret, &scan_found);
   std::uint64_t indexed_nodes =
-      measure(StorageMode::kIndexed, &indexed_found);
+      measure(plan::PlanMode::kCompiled, &indexed_found);
   std::printf("homomorphism search nodes (pattern with nulls into a "
               "complete instance): scan %llu, indexed %llu\n\n",
               static_cast<unsigned long long>(scan_nodes),

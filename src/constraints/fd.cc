@@ -10,6 +10,7 @@
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "plan/mode.h"
 
 namespace zeroone {
 
@@ -88,17 +89,18 @@ void ReplaceEverywhere(Value from, Value to, Database* db,
 }
 
 // The first violating pair of `fd` in `rel`, as sorted positions (i, j),
-// i < j, or nullopt when the FD holds. In indexed mode the inner loop
-// probes the LHS-column index for rows agreeing with row i; probe spans
-// ascend in sorted order, so the pair found is exactly the one the full
-// nested scan finds — the chase stays byte-for-byte deterministic.
+// i < j, or nullopt when the FD holds. Under compiled plans the inner loop
+// probes the LHS-column index for rows agreeing with row i; the oracle runs
+// the full nested scan. Probe spans ascend in sorted order, so the pair
+// found is exactly the one the scan finds — the chase stays byte-for-byte
+// deterministic.
 std::optional<std::pair<std::size_t, std::size_t>> FindViolation(
     const Relation& rel, const FunctionalDependency& fd) {
   std::vector<std::size_t> lhs_sorted(fd.lhs());
   std::sort(lhs_sorted.begin(), lhs_sorted.end());
   lhs_sorted.erase(std::unique(lhs_sorted.begin(), lhs_sorted.end()),
                    lhs_sorted.end());
-  const bool indexed = storage_mode() == StorageMode::kIndexed &&
+  const bool indexed = plan::plan_mode() == plan::PlanMode::kCompiled &&
                        !lhs_sorted.empty() &&
                        rel.arity() <= Relation::kMaxIndexedColumns;
   const Relation::Mask mask =

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/pool.h"
+#include "plan/mode.h"
 
 namespace zeroone {
 
@@ -43,10 +44,10 @@ std::vector<PatternTuple> PatternsOf(const Database& from,
 // keyed by null id — nulls are densely interned, so this replaces the
 // historical std::map<Value, Value> with O(1) unordered lookups.
 //
-// In indexed mode, patterns are chosen most-constrained-first (most columns
-// already fixed by constants or bound nulls) and candidates come from a
-// hash probe on those columns. In scan mode the search replays the
-// historical algorithm exactly: static pattern order, full candidate scans.
+// Under compiled plans, patterns are chosen most-constrained-first (most
+// columns already fixed by constants or bound nulls) and candidates come
+// from a hash probe on those columns. The oracle (PlanMode::kInterpret)
+// runs the plain algorithm: static pattern order, full candidate scans.
 class Searcher {
  public:
   using MatchFn = std::function<bool(const std::map<Value, Value>&)>;
@@ -56,7 +57,7 @@ class Searcher {
         used_(patterns_.size(), 0),
         from_nulls_(from.Nulls()),
         on_match_(on_match),
-        indexed_(storage_mode() == StorageMode::kIndexed) {
+        indexed_(plan::plan_mode() == plan::PlanMode::kCompiled) {
     std::uint32_t slots = 0;
     for (Value null : from_nulls_) slots = std::max(slots, null.id() + 1);
     bound_.assign(slots, 0);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <ostream>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -15,19 +13,6 @@
 namespace zeroone {
 
 namespace {
-
-StorageMode DefaultStorageMode() {
-  const char* env = std::getenv("ZEROONE_STORAGE");
-  if (env != nullptr && std::string_view(env) == "scan") {
-    return StorageMode::kScan;
-  }
-  return StorageMode::kIndexed;
-}
-
-StorageMode& MutableStorageMode() {
-  static StorageMode mode = DefaultStorageMode();
-  return mode;
-}
 
 // Lexicographic comparison of two rows of the same arity.
 bool RowLess(const Value* a, const Value* b, std::size_t arity) {
@@ -60,10 +45,6 @@ struct KeyHash {
 };
 
 }  // namespace
-
-StorageMode storage_mode() { return MutableStorageMode(); }
-
-void SetStorageMode(StorageMode mode) { MutableStorageMode() = mode; }
 
 struct Relation::Index {
   // Bucket values are ascending sorted positions (not arena ids), built by

@@ -14,20 +14,6 @@
 
 namespace zeroone {
 
-// Which storage strategy the evaluators use on top of Relation. kIndexed is
-// the production path (hash probes on bound columns); kScan preserves the
-// original full-scan algorithms and exists purely as a differential-testing
-// reference. Selected once from the ZEROONE_STORAGE environment variable
-// ("scan" picks the reference path), overridable in-process for tests.
-enum class StorageMode { kIndexed, kScan };
-
-// The process-wide storage mode (env default, or the last SetStorageMode).
-StorageMode storage_mode();
-// Overrides the storage mode; used by differential tests and benches that
-// compare both paths inside one process. Not thread-safe against concurrent
-// evaluation — call between evaluations only.
-void SetStorageMode(StorageMode mode);
-
 // Cheap cardinality statistics of one relation, used by the query planner
 // (src/plan) to cost join and atom orders. `distinct_per_column[c]` is the
 // exact number of distinct values in column c (cheap to maintain at our

@@ -87,16 +87,15 @@ const Relation& RelationOf(const Database& db, const std::string& predicate) {
   return db.relation(predicate);
 }
 
-// Iterates the rows of `rel` that can match `atom` under `binding`. In
-// indexed mode, columns already fixed by constant terms or bound variables
-// become a hash probe; the scan path visits every row (the historical
-// behavior, kept for ZEROONE_STORAGE=scan differential runs). Either way
-// MatchAtom re-verifies each candidate, so the two paths see identical
-// match sets.
+// Iterates the rows of `rel` that can match `atom` under `binding`. Under
+// compiled plans, columns already fixed by constant terms or bound
+// variables become a hash probe; the oracle (PlanMode::kInterpret) visits
+// every row. Either way MatchAtom re-verifies each candidate, so the two
+// paths see identical match sets.
 template <typename Fn>
 void ForEachCandidate(const Relation& rel, const DatalogAtom& atom,
                       const Binding& binding, Fn&& fn) {
-  if (storage_mode() == StorageMode::kIndexed &&
+  if (plan::plan_mode() == plan::PlanMode::kCompiled &&
       atom.terms.size() == rel.arity() && rel.arity() > 0 &&
       rel.arity() <= Relation::kMaxIndexedColumns) {
     Relation::Mask mask = 0;

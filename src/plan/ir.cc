@@ -124,8 +124,10 @@ class Planner {
     return node;
   }
 
-  // Positive atoms over `var` that every satisfying extension must match
-  // (the collect-all generalization of eval.cc's FindRequiredAtom).
+  // Positive atoms over `var` that every satisfying extension must match:
+  // if no row of one can match with var = v, the formula is false at v.
+  // Quantifiers crossed on the way down rebind their variable; those
+  // variables accumulate in `shadowed` and count as unbound.
   void CollectRequired(const Formula& f, std::size_t var,
                        std::vector<std::size_t>* shadowed,
                        std::vector<CandidateAtom>* out) {
@@ -155,7 +157,8 @@ class Planner {
   }
 
   // Atoms whose unmatchability at var = v makes `f` vacuously true (the
-  // dual, generalizing eval.cc's FindVacuityAtom).
+  // dual, for ∀): a failed premise, a refuted negation, or such an atom
+  // inside ∀/∃/∨.
   void CollectVacuity(const Formula& f, std::size_t var,
                       std::vector<std::size_t>* shadowed,
                       std::vector<CandidateAtom>* out) {
@@ -182,9 +185,8 @@ class Planner {
   }
 
   // Classifies one eligible atom into a CandidateSource, or nullopt when
-  // the interpreter's CollectCandidates would fall back to the full domain
-  // (arity mismatch, unindexable arity): the compiled loop must restrict
-  // exactly when the reference path does not forbid it.
+  // no index can restrict the range (arity mismatch, unindexable arity):
+  // the compiled loop then sweeps the full domain.
   std::optional<CandidateSource> MakeCandidate(
       const Formula& atom, std::size_t var,
       const std::vector<std::size_t>& shadowed) {
@@ -227,7 +229,7 @@ class Planner {
     }
     if (rel == nullptr) {
       // Absent relation: the candidate set is statically empty — the
-      // strongest restriction there is (the interpreter does the same).
+      // strongest restriction there is.
       src.est_matches = 0.0;
       return src;
     }
@@ -236,8 +238,7 @@ class Planner {
     return src;
   }
 
-  // The cost-cheapest eligible candidate (ties keep collection order, which
-  // is the interpreter's first-found order).
+  // The cost-cheapest eligible candidate (ties keep collection order).
   std::optional<CandidateSource> PickCandidate(
       const std::vector<CandidateAtom>& atoms, std::size_t var) {
     std::optional<CandidateSource> best;

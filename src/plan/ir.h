@@ -6,12 +6,11 @@
 // A QueryPlan is a normalized operator tree derived from a Formula against
 // a concrete Database: ∧/∨ operands are reordered cheapest-and-most-
 // selective-first, every quantifier is annotated with the cost-cheapest
-// candidate atom that can restrict its range (the planner generalization of
-// the interpreter's FindRequiredAtom/FindVacuityAtom heuristics, which
-// always take the syntactically first atom), and — in enumerate mode — the
+// candidate atom that can restrict its range, and — in enumerate mode — the
 // free variables become an explicit chain of output loops. Every choice the
 // planner makes is among semantically equivalent alternatives, so plans
-// produce byte-identical answers to the interpreter (tests/plan_diff_test).
+// produce byte-identical answers to the full-domain interpreter, the
+// oracle of PlanMode::kInterpret (tests/plan_diff_test).
 //
 // Plans are built against one database snapshot: cardinality estimates and
 // candidate choices bake in that snapshot's Relation::Stats(). The plan

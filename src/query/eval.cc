@@ -1,16 +1,12 @@
 #include "query/eval.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdint>
 #include <map>
-#include <unordered_set>
 
 #include "common/cancel.h"
 #include "data/valuation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/pool.h"
 #include "plan/cache.h"
 #include "plan/compiler.h"
 #include "plan/mode.h"
@@ -27,141 +23,11 @@ Value ResolveTerm(const Term& term, const Environment& env) {
   return *env[term.variable_id()];
 }
 
+// The oracle's evaluation context: quantifiers range over `domain` in full.
 struct EvalContext {
   const Database& db;
   const std::vector<Value>& domain;
-  bool indexed;  // Probe positive atoms to restrict quantifier ranges.
 };
-
-// Finds a positive atom mentioning variable `var` that every satisfying
-// extension of the current environment must satisfy: if no row of the
-// atom's relation can match with var = v, the formula is false at v.
-// Quantifiers crossed on the way down rebind their variable, so those
-// variables must be treated as unbound when probing; they accumulate in
-// `shadowed` along the successful path.
-const Formula* FindRequiredAtom(const Formula& f, std::size_t var,
-                                std::vector<std::size_t>* shadowed) {
-  switch (f.kind()) {
-    case Formula::Kind::kAtom:
-      for (const Term& t : f.terms()) {
-        if (!t.is_value() && t.variable_id() == var) return &f;
-      }
-      return nullptr;
-    case Formula::Kind::kAnd:
-      for (const FormulaPtr& child : f.children()) {
-        if (const Formula* a = FindRequiredAtom(*child, var, shadowed)) {
-          return a;
-        }
-      }
-      return nullptr;
-    case Formula::Kind::kExists: {
-      if (f.bound_variable() == var) return nullptr;
-      shadowed->push_back(f.bound_variable());
-      if (const Formula* a =
-              FindRequiredAtom(*f.children()[0], var, shadowed)) {
-        return a;
-      }
-      shadowed->pop_back();
-      return nullptr;
-    }
-    default:
-      return nullptr;
-  }
-}
-
-// Finds an atom whose unmatchability at var = v makes `f` vacuously TRUE
-// (the dual of FindRequiredAtom, used to skip domain values under ∀): a
-// failed premise, a refuted negation, or such an atom inside ∀/∃/∨.
-const Formula* FindVacuityAtom(const Formula& f, std::size_t var,
-                               std::vector<std::size_t>* shadowed) {
-  switch (f.kind()) {
-    case Formula::Kind::kImplies:
-    case Formula::Kind::kNot:
-      return FindRequiredAtom(*f.children()[0], var, shadowed);
-    case Formula::Kind::kForall:
-    case Formula::Kind::kExists: {
-      if (f.bound_variable() == var) return nullptr;
-      shadowed->push_back(f.bound_variable());
-      if (const Formula* a =
-              FindVacuityAtom(*f.children()[0], var, shadowed)) {
-        return a;
-      }
-      shadowed->pop_back();
-      return nullptr;
-    }
-    case Formula::Kind::kOr:
-      for (const FormulaPtr& child : f.children()) {
-        if (const Formula* a = FindVacuityAtom(*child, var, shadowed)) {
-          return a;
-        }
-      }
-      return nullptr;
-    default:
-      return nullptr;
-  }
-}
-
-std::uint64_t PackValue(Value v) {
-  return (static_cast<std::uint64_t>(v.kind()) << 32) | v.id();
-}
-
-// Computes the subset of ctx.domain (in domain order) that variable `var`
-// can take while `atom` still has a matching row, probing on columns whose
-// terms are already fixed. Returns false to fall back to the full domain.
-bool CollectCandidates(const Formula& atom, std::size_t var,
-                       const std::vector<std::size_t>& shadowed,
-                       const EvalContext& ctx, const Environment& env,
-                       std::vector<Value>* out) {
-  out->clear();
-  if (!ctx.db.HasRelation(atom.relation_name())) return true;  // No rows.
-  const Relation& rel = ctx.db.relation(atom.relation_name());
-  if (atom.terms().size() != rel.arity() || rel.arity() == 0 ||
-      rel.arity() > Relation::kMaxIndexedColumns) {
-    return false;
-  }
-  Relation::Mask mask = 0;
-  std::vector<Value> key;
-  std::vector<std::size_t> var_columns;
-  for (std::size_t i = 0; i < atom.terms().size(); ++i) {
-    const Term& t = atom.terms()[i];
-    if (t.is_value()) {
-      mask |= Relation::Mask{1} << i;
-      key.push_back(t.value());
-      continue;
-    }
-    std::size_t id = t.variable_id();
-    if (id == var) {
-      var_columns.push_back(i);
-    } else if (id < env.size() && env[id] &&
-               std::find(shadowed.begin(), shadowed.end(), id) ==
-                   shadowed.end()) {
-      mask |= Relation::Mask{1} << i;
-      key.push_back(*env[id]);
-    }
-    // Other unbound (or shadowed) variables are wildcards.
-  }
-  if (var_columns.empty()) return false;
-
-  std::unordered_set<std::uint64_t> seen;
-  auto consider = [&](Relation::Row row) {
-    Value x = row[var_columns[0]];
-    for (std::size_t c : var_columns) {
-      if (row[c] != x) return;
-    }
-    seen.insert(PackValue(x));
-  };
-  if (mask != 0) {
-    for (std::uint32_t pos : rel.Probe(mask, key)) consider(rel.row(pos));
-  } else {
-    for (std::size_t pos = 0; pos < rel.size(); ++pos) consider(rel.row(pos));
-  }
-  // Keep domain order so quantifier iteration stays deterministic and
-  // identical to a filtered full-domain loop.
-  for (Value v : ctx.domain) {
-    if (seen.count(PackValue(v)) != 0) out->push_back(v);
-  }
-  return true;
-}
 
 bool Eval(const Formula& formula, const EvalContext& ctx, Environment* env) {
   switch (formula.kind()) {
@@ -211,23 +77,8 @@ bool Eval(const Formula& formula, const EvalContext& ctx, Environment* env) {
       std::size_t var = formula.bound_variable();
       if (var >= env->size()) env->resize(var + 1);
       std::optional<Value> saved = (*env)[var];
-      // When the body requires a positive atom over `var`, only values
-      // occurring in matching rows can witness the ∃ — probe for them
-      // instead of sweeping the whole domain.
-      const std::vector<Value>* range = &ctx.domain;
-      std::vector<Value> candidates;
-      if (ctx.indexed) {
-        std::vector<std::size_t> shadowed;
-        if (const Formula* atom =
-                FindRequiredAtom(*formula.children()[0], var, &shadowed)) {
-          if (CollectCandidates(*atom, var, shadowed, ctx, *env,
-                                &candidates)) {
-            range = &candidates;
-          }
-        }
-      }
       bool result = false;
-      for (Value v : *range) {
+      for (Value v : ctx.domain) {
         (*env)[var] = v;
         if (Eval(*formula.children()[0], ctx, env)) {
           result = true;
@@ -241,22 +92,8 @@ bool Eval(const Formula& formula, const EvalContext& ctx, Environment* env) {
       std::size_t var = formula.bound_variable();
       if (var >= env->size()) env->resize(var + 1);
       std::optional<Value> saved = (*env)[var];
-      // Dually, when unmatched values make the body vacuously true, only
-      // values occurring in matching rows can refute the ∀.
-      const std::vector<Value>* range = &ctx.domain;
-      std::vector<Value> candidates;
-      if (ctx.indexed) {
-        std::vector<std::size_t> shadowed;
-        if (const Formula* atom =
-                FindVacuityAtom(*formula.children()[0], var, &shadowed)) {
-          if (CollectCandidates(*atom, var, shadowed, ctx, *env,
-                                &candidates)) {
-            range = &candidates;
-          }
-        }
-      }
       bool result = true;
-      for (Value v : *range) {
+      for (Value v : ctx.domain) {
         (*env)[var] = v;
         if (!Eval(*formula.children()[0], ctx, env)) {
           result = false;
@@ -303,7 +140,7 @@ std::shared_ptr<const plan::CompiledQuery> PlanFor(const Query& query,
 
 bool EvaluateFormula(const Formula& formula, const Database& db,
                      const std::vector<Value>& domain, Environment* env) {
-  EvalContext ctx{db, domain, storage_mode() == StorageMode::kIndexed};
+  EvalContext ctx{db, domain};
   return Eval(formula, ctx, env);
 }
 
@@ -358,8 +195,9 @@ bool PreparedMembership::operator()(const Database& db, const Tuple& tuple,
 
 namespace {
 
-// Enumerates assignments of `columns` free variables over the domain,
-// collecting satisfying tuples.
+// Enumerates assignments of the free variables from `column` on over the
+// domain, collecting satisfying tuples in domain order. Each first-column
+// value polls the CancelToken, so a deadline stops the oracle too.
 void EnumerateAnswers(const Query& query, const Database& db,
                       const std::vector<Value>& domain, std::size_t column,
                       Environment* env, std::vector<Value>* current,
@@ -381,6 +219,7 @@ void EnumerateAnswers(const Query& query, const Database& db,
     return;
   }
   for (Value v : domain) {
+    if (column == 0 && CancellationRequested()) break;
     (*env)[var] = v;
     current->push_back(v);
     EnumerateAnswers(query, db, domain, column + 1, env, current, out);
@@ -406,36 +245,6 @@ std::vector<Tuple> EvaluateQuery(const Query& query, const Database& db) {
   if (query.is_boolean()) {
     if (EvaluateFormula(*query.formula(), db, domain, &env)) {
       answers.push_back(Tuple{});
-    }
-    return answers;
-  }
-  // The first output column's domain sweep is the parallel axis: morsels of
-  // domain indices, each explored with a worker-private environment, results
-  // landing in per-morsel slots concatenated in morsel order — byte-identical
-  // to the serial sweep (docs/parallelism.md).
-  par::ForPlan morsels = par::PlanMorsels(domain.size(), par::ForOptions{});
-  if (morsels.workers > 1) {
-    std::size_t var = query.free_variables()[0];
-    std::vector<std::vector<Tuple>> slots(morsels.morsels);
-    par::ParallelFor(morsels, [&](const par::Morsel& m, std::size_t) {
-      Environment worker_env(query.variable_count());
-      std::vector<Value> worker_current;
-      worker_current.reserve(query.arity());
-      for (std::size_t i = m.begin; i < m.end; ++i) {
-        if (CancellationRequested()) return false;
-        worker_env[var] = domain[i];
-        worker_current.push_back(domain[i]);
-        EnumerateAnswers(query, db, domain, 1, &worker_env, &worker_current,
-                         &slots[m.index]);
-        worker_current.pop_back();
-      }
-      return true;
-    });
-    // On abort the merge still runs: a cancelled computation returns
-    // partial results by design and the token's installer discards them.
-    for (std::vector<Tuple>& slot : slots) {
-      answers.insert(answers.end(), std::make_move_iterator(slot.begin()),
-                     std::make_move_iterator(slot.end()));
     }
     return answers;
   }

@@ -204,12 +204,13 @@ bool Search(const CompiledClause& clause, std::size_t atom_index,
   const CompiledClause::CompiledAtom& atom = clause.atoms[atom_index];
   if (atom.relation == nullptr) return false;  // Absent relation: no tuples.
   const Relation& rel = *atom.relation;
-  // In indexed mode, columns already fixed by constants or bound classes
-  // become a hash probe; the compatibility loop below re-verifies every
-  // candidate either way, so scan and probe see identical match sets.
+  // Under compiled plans, columns already fixed by constants or bound
+  // classes become a hash probe; the oracle scans every row. The
+  // compatibility loop below re-verifies every candidate either way, so
+  // scan and probe see identical match sets.
   std::vector<std::uint32_t> probe_ids;
   bool use_probe = false;
-  if (storage_mode() == StorageMode::kIndexed && rel.arity() > 0 &&
+  if (plan::plan_mode() == plan::PlanMode::kCompiled && rel.arity() > 0 &&
       rel.arity() <= Relation::kMaxIndexedColumns &&
       atom.slots.size() == rel.arity()) {
     Relation::Mask mask = 0;

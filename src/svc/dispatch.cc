@@ -837,7 +837,8 @@ Response Dispatcher::ExecuteSave(const Request& request,
   response.id = request.id;
   if (snapshots_ == nullptr) {
     response.status = WireStatus::kErr;
-    response.payload = "snapshots disabled (start with --snapshot-dir)";
+    response.payload =
+        "snapshots disabled (no snapshot directory configured)";
     return response;
   }
   std::shared_lock<SessionMutex> lock(session->mutex);
@@ -870,7 +871,8 @@ Response Dispatcher::ExecuteShipList(const Request& request) {
   response.id = request.id;
   if (wal_ == nullptr) {
     response.status = WireStatus::kErr;
-    response.payload = "log shipping disabled (start with --snapshot-dir)";
+    response.payload =
+        "log shipping disabled (no snapshot directory configured)";
     return response;
   }
   std::ostringstream out;
@@ -886,7 +888,8 @@ Response Dispatcher::ExecuteShip(const Request& request) {
   response.id = request.id;
   if (wal_ == nullptr) {
     response.status = WireStatus::kErr;
-    response.payload = "log shipping disabled (start with --snapshot-dir)";
+    response.payload =
+        "log shipping disabled (no snapshot directory configured)";
     return response;
   }
   const std::size_t space = request.args.find(' ');

@@ -47,7 +47,7 @@ constexpr CommandInfo kCommands[] = {
      "evaluate a datalog program's goal relation (naive)"},
     {"ping", 0, "", "answer pong"},
     {"stats", 0, "", "cache and session counters as JSON"},
-    {"save", 0, "", "persist the session now (needs --snapshot-dir)"},
+    {"save", 0, "", "persist the session now (needs a snapshot directory)"},
     {"shiplist", 0, "", "session versions, for log shipping"},
     {"ship", 0, "<session> <from_version>",
      "log records past a cursor, for log shipping"},

@@ -19,11 +19,11 @@
 //    derived sets union into one set; unions are order-free).
 //  - FD chase: identical outcomes.
 //
-// Each comparison is additionally cross-checked against the other two
-// execution-mode axes (ZEROONE_STORAGE, ZEROONE_PLAN): parallel+indexed+
-// compiled must equal serial+scan+interpret, so the three mode switches
-// compose without drift. Three seeds run in CI; the TSan job re-runs this
-// whole binary to hunt data races in the pool integrations.
+// Each comparison is additionally cross-checked against the other
+// execution-mode axis (ZEROONE_PLAN): parallel+compiled must equal the
+// serial oracle (interpret), so the width and plan-mode switches compose
+// without drift. Three seeds run in CI; the TSan job re-runs this whole
+// binary to hunt data races in the pool integrations.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,6 @@
 #include "core/support.h"
 #include "data/database.h"
 #include "data/homomorphism.h"
-#include "data/relation.h"
 #include "datalog/eval.h"
 #include "datalog/parser.h"
 #include "gen/random_db.h"
@@ -64,15 +63,6 @@ auto WithPlanMode(plan::PlanMode mode, Fn&& body) {
   plan::SetPlanMode(mode);
   auto result = body();
   plan::SetPlanMode(previous);
-  return result;
-}
-
-template <typename Fn>
-auto WithStorageMode(StorageMode mode, Fn&& body) {
-  StorageMode previous = storage_mode();
-  SetStorageMode(mode);
-  auto result = body();
-  SetStorageMode(previous);
   return result;
 }
 
@@ -109,9 +99,9 @@ TEST_P(ParDiffTest, QueryEvaluationIsIdenticalAtEveryWidth) {
                                   << " width " << width << ": "
                                   << fo.ToString();
     }
-    // Both plan modes must agree under parallelism: the interpreter's
-    // outer valuation loop and the VM's outermost output loop are
-    // independently morselized (a Boolean program has no output loop).
+    // Both plan modes must agree under an 8-wide budget: the VM's
+    // outermost output loop is morselized (a Boolean program has no output
+    // loop), the oracle's sweep stays serial.
     auto interpreted = WithThreads(8, [&] {
       return WithPlanMode(plan::PlanMode::kInterpret,
                           [&] { return EvaluateQuery(fo, db); });
@@ -264,11 +254,10 @@ TEST_P(ParDiffTest, ChaseOutcomesAreIdenticalAtEveryWidth) {
   }
 }
 
-TEST_P(ParDiffTest, AllThreeModeAxesComposeWithoutDrift) {
-  // Reference corner: serial + scan storage + interpreted plans. Production
-  // corner: 8-wide teams + indexed storage + compiled plans. Every pair of
-  // corners along the cube must agree; comparing the two extremes covers
-  // the composition the other diff batteries check axis-by-axis.
+TEST_P(ParDiffTest, WidthAndPlanModeComposeWithoutDrift) {
+  // Reference corner: serial + the interpreting oracle. Production corner:
+  // 8-wide teams + compiled plans. Comparing the two extremes covers the
+  // composition the other diff batteries check axis-by-axis.
   const std::uint64_t seed = GetParam();
   Database db = SmallDb(seed);
   RandomQueryOptions q_options;
@@ -276,17 +265,13 @@ TEST_P(ParDiffTest, AllThreeModeAxesComposeWithoutDrift) {
   q_options.seed = seed + 71;
   Query ucq = GenerateRandomUcq(q_options);
   auto reference = WithThreads(1, [&] {
-    return WithStorageMode(StorageMode::kScan, [&] {
-      return WithPlanMode(plan::PlanMode::kInterpret, [&] {
-        return std::make_pair(EvaluateQuery(ucq, db), CertainAnswers(ucq, db));
-      });
+    return WithPlanMode(plan::PlanMode::kInterpret, [&] {
+      return std::make_pair(EvaluateQuery(ucq, db), CertainAnswers(ucq, db));
     });
   });
   auto production = WithThreads(8, [&] {
-    return WithStorageMode(StorageMode::kIndexed, [&] {
-      return WithPlanMode(plan::PlanMode::kCompiled, [&] {
-        return std::make_pair(EvaluateQuery(ucq, db), CertainAnswers(ucq, db));
-      });
+    return WithPlanMode(plan::PlanMode::kCompiled, [&] {
+      return std::make_pair(EvaluateQuery(ucq, db), CertainAnswers(ucq, db));
     });
   });
   EXPECT_EQ(reference.first, production.first) << ucq.ToString();

@@ -1,9 +1,10 @@
-// Differential conformance test for the compiled evaluation path: the
-// cost-based planner + bytecode VM (src/plan/, ZEROONE_PLAN unset or
-// `compiled`) must compute byte-for-byte what the PR-5 interpreter
-// (`ZEROONE_PLAN=interpret`) computes. For each seed, the same randomly
-// generated databases, queries, and programs run once per PlanMode and the
-// results are compared:
+// Differential conformance test for the production evaluation path: the
+// cost-based planner + bytecode VM and the hash-probing matchers
+// (ZEROONE_PLAN unset or `compiled`) must compute byte-for-byte what the
+// oracle (`ZEROONE_PLAN=interpret`: a serial full-domain tree-walk, full
+// scans in every matcher) computes. For each seed, the same randomly
+// generated databases, queries, programs, and constraint sets run once per
+// PlanMode and the results are compared:
 //
 //  - FO naive evaluation (EvaluateQuery): identical answer vectors, order
 //    included — the compiled output loops sweep candidates in domain
@@ -13,9 +14,14 @@
 //  - UCQ matcher: identical answer sets and membership verdicts (the
 //    planner permutes the backtracking join order; the match set is
 //    join-order independent).
-//  - Homomorphism / cores: identical existence verdicts, isomorphic cores.
+//  - Homomorphism / cores: identical existence verdicts, isomorphic cores
+//    (probe-guided most-constrained-first search against static-order
+//    full scans).
 //  - Datalog: identical materialized databases (the body orderer changes
 //    instantiation order only; the derived set is accumulated into a set).
+//  - FD chase: identical outcome — success flag, failure reason, chased
+//    database, and null mapping (probe spans ascend in scan order, so the
+//    chase resolves violations in the same order).
 //
 // Three distinct seeds run in CI; CI runs the whole binary under both
 // ZEROONE_PLAN-unset and ZEROONE_PLAN=interpret environments so the reference
@@ -25,6 +31,8 @@
 
 #include <vector>
 
+#include "common/cancel.h"
+#include "constraints/fd.h"
 #include "core/measure.h"
 #include "data/database.h"
 #include "data/homomorphism.h"
@@ -33,9 +41,11 @@
 #include "datalog/parser.h"
 #include "gen/random_db.h"
 #include "gen/random_query.h"
+#include "par/pool.h"
 #include "plan/mode.h"
 #include "query/eval.h"
 #include "query/matcher.h"
+#include "query/parser.h"
 
 namespace zeroone {
 namespace {
@@ -174,6 +184,11 @@ TEST_P(PlanDiffTest, HomomorphismAndCoreAgree) {
   EXPECT_EQ(ab_interp, ab_compiled);
   auto [ba_interp, ba_compiled] = exists(b, a);
   EXPECT_EQ(ba_interp, ba_compiled);
+  auto [aa_interp, aa_compiled] = exists(a, a);
+  EXPECT_TRUE(aa_interp);  // The identity is always a homomorphism.
+  EXPECT_TRUE(aa_compiled);
+  // Cores are unique up to isomorphism, not literally: the probe-guided
+  // search may find a different (equally valid) folding.
   Database core_interp = Interpreted([&] { return ComputeCore(a); });
   Database core_compiled = Compiled([&] { return ComputeCore(a); });
   ASSERT_EQ(core_interp.relations().size(),
@@ -211,8 +226,54 @@ TEST_P(PlanDiffTest, DatalogFixpointsAreIdentical) {
             Compiled([&] { return EvaluateDatalog(*program, db); }));
 }
 
+TEST_P(PlanDiffTest, ChaseOutcomesAreIdentical) {
+  const std::uint64_t seed = GetParam();
+  // Wider null pool: chases that actually merge and fail are the
+  // interesting ones, and both outcomes occur across the three seeds.
+  RandomDatabaseOptions options;
+  options.relations = {{"R", 3, 8}};
+  options.constant_pool = 3;
+  options.null_pool = 3;
+  options.null_probability = 0.4;
+  options.seed = seed + 59;
+  Database db = GenerateRandomDatabase(options);
+  std::vector<FunctionalDependency> fds = {
+      FunctionalDependency("R", 3, {0}, 1),
+      FunctionalDependency("R", 3, {1, 2}, 0),
+  };
+  ChaseResult interpreted = Interpreted([&] { return ChaseFds(fds, db); });
+  ChaseResult compiled = Compiled([&] { return ChaseFds(fds, db); });
+  EXPECT_EQ(interpreted.success, compiled.success);
+  EXPECT_EQ(interpreted.failure_reason, compiled.failure_reason);
+  EXPECT_EQ(interpreted.null_mapping, compiled.null_mapping);
+  if (interpreted.success && compiled.success) {
+    EXPECT_EQ(interpreted.database, compiled.database);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PlanDiffTest,
                          ::testing::Values(7u, 1234u, 98765u));
+
+// The oracle polls the CancelToken once per first-column value, so an
+// interpreted request stops at its deadline however wide the domain — also
+// with a one-thread budget, where no morsel loop polls on its behalf.
+TEST(PlanOracleTest, InterpretedEvaluateQueryStopsWhenCancelled) {
+  const std::size_t previous_threads = par::par_threads();
+  par::SetParThreads(1);
+  Database db;
+  Relation& r = db.AddRelation("R", 2);
+  for (std::int64_t i = 0; i < 50; ++i) {
+    r.Insert({Value::Int(i), Value::Int(i)});
+  }
+  Query loops = ParseQuery("Q(x) := R(x, x)").value();
+  EXPECT_EQ(Interpreted([&] { return EvaluateQuery(loops, db); }).size(),
+            50u);
+  CancelToken token;
+  token.Cancel();
+  ScopedCancelToken scope(&token);
+  EXPECT_TRUE(Interpreted([&] { return EvaluateQuery(loops, db); }).empty());
+  par::SetParThreads(previous_threads);
+}
 
 }  // namespace
 }  // namespace zeroone

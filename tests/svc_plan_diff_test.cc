@@ -1,13 +1,15 @@
-// Differential serving test for the compiled evaluation path: the same
+// Differential serving test for the production evaluation path: the same
 // deterministic script of commands is replayed against a server running
-// with PlanMode::kInterpret (the PR-5 tree-walking evaluators) and one
-// with PlanMode::kCompiled (cost-based plans + bytecode VM, plan cache
-// hot), and the two wire transcripts must be byte-identical. The script
-// mixes reads, mutations (which bump the session version and so invalidate
-// cached plans), repeated queries (which hit the plan cache), and
-// @explain=1 requests (whose output is mode-independent: explain always
-// compiles against the live state). No timing-sensitive phases — the modes
-// differ in speed by design.
+// with PlanMode::kInterpret (the serial, full-scan oracle) and one with
+// PlanMode::kCompiled (cost-based plans + bytecode VM, hash probes, plan
+// cache hot), and the two wire transcripts must be byte-identical. Both
+// servers write through a snapshot directory, so every mutation is
+// write-ahead logged in both modes. The script mixes reads, mutations
+// (which bump the session version and so invalidate cached plans),
+// repeated queries (which hit the plan cache), and @explain=1 requests
+// (whose output is mode-independent: explain always compiles against the
+// live state). No timing-sensitive phases — the modes differ in speed by
+// design.
 
 #include <gtest/gtest.h>
 
@@ -114,11 +116,22 @@ void Roundtrip(RawClient& client, std::vector<std::string>& transcript,
 
 std::vector<std::string> RunTranscript(plan::PlanMode mode,
                                        std::uint32_t seed) {
+  static int run_counter = 0;
+  std::string snapdir =
+      std::filesystem::temp_directory_path() /
+      ("zo1_plan_diff_" +
+       std::string(mode == plan::PlanMode::kInterpret ? "interpret"
+                                                      : "compiled") +
+       "_" + std::to_string(seed) + "_" + std::to_string(run_counter++));
+  std::filesystem::remove_all(snapdir);
+  std::filesystem::create_directories(snapdir);
+
   plan::PlanMode previous = plan::plan_mode();
   plan::SetPlanMode(mode);
 
   ServerOptions options;
   options.threads = 2;
+  options.snapshot_dir = snapdir;
   Server server(options);
   Status started = server.Start();
   EXPECT_TRUE(started.ok()) << started.message();
@@ -189,6 +202,7 @@ std::vector<std::string> RunTranscript(plan::PlanMode mode,
 
   server.Shutdown();
   plan::SetPlanMode(previous);
+  std::filesystem::remove_all(snapdir);
   return transcript;
 }
 

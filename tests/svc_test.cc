@@ -308,6 +308,24 @@ TEST(DispatcherTest, SessionsAreIsolated) {
   EXPECT_EQ(alpha.status, WireStatus::kOk);
 }
 
+TEST(DispatcherTest, PersistenceCommandsNameTheMissingSnapshotDirectory) {
+  // Both front ends (zeroone_server without --snapshot-dir, zeroone_cli
+  // always) build a dispatcher with no snapshot directory; the refusal must
+  // be true in both, so it names the missing directory, not a flag.
+  Dispatcher dispatcher(Dispatcher::Options{});
+  Response save = dispatcher.Execute(MakeRequest("save"));
+  EXPECT_EQ(save.status, WireStatus::kErr);
+  EXPECT_EQ(save.payload,
+            "snapshots disabled (no snapshot directory configured)");
+  for (const char* command : {"ship", "shiplist"}) {
+    Response response = dispatcher.Execute(MakeRequest(command, "default 0"));
+    EXPECT_EQ(response.status, WireStatus::kErr) << command;
+    EXPECT_EQ(response.payload,
+              "log shipping disabled (no snapshot directory configured)")
+        << command;
+  }
+}
+
 TEST(DispatcherTest, MukRefusesBadAndHugeK) {
   Dispatcher dispatcher(Dispatcher::Options{});
   ASSERT_EQ(dispatcher.Execute(MakeRequest("db", "R(1) = { (_1) }")).status,
