@@ -1,10 +1,14 @@
 // Differential serving test for the indexed storage core: the same
 // deterministic script of commands is replayed against a server running
-// with StorageMode::kScan (the historical full-scan evaluators) and one
-// with StorageMode::kIndexed (the probe-based evaluators), and the two wire
-// transcripts must be byte-identical. Unlike svc_epoll_diff_test this
-// script contains no timing-sensitive phases (no deadlines, no overload):
-// evaluation speed differs between the modes by design, so only
+// with PlanMode::kInterpret (the oracle: full scans in every evaluator) and
+// one with PlanMode::kCompiled (hash probes on the relations' cached
+// indexes), and the two wire transcripts must be byte-identical. Halfway
+// through, each server is shut down and a new one is started on the same
+// snapshot directory, so the second half is served from relations rebuilt
+// by recovery (snapshot load + WAL replay) with cold index caches, and
+// mutated again after their indexes warm up. Unlike svc_epoll_diff_test
+// this script contains no timing-sensitive phases (no deadlines, no
+// overload): evaluation speed differs between the modes by design, so only
 // schedule-independent frames are comparable byte-for-byte.
 
 #include <gtest/gtest.h>
@@ -16,12 +20,13 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "data/relation.h"
+#include "plan/mode.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
 
@@ -109,73 +114,93 @@ void Roundtrip(RawClient& client, std::vector<std::string>& transcript,
   client.ReadFrames(1, &transcript);
 }
 
-std::vector<std::string> RunTranscript(StorageMode mode, std::uint32_t seed) {
+// Replays the seeded read/mutate script, one request outstanding at a
+// time, for script steps [first, last).
+void RunScript(RawClient& client, std::vector<std::string>& transcript,
+               std::mt19937& rng, int* insert_counter, int first, int last) {
+  for (int i = first; i < last; ++i) {
+    std::uint32_t choice = static_cast<std::uint32_t>(rng()) % 8;
+    Request request;
+    switch (choice) {
+      case 0:
+      case 1:
+        request = Req("certain");
+        break;
+      case 2:
+        request = Req("possible");
+        break;
+      case 3:
+      case 4:
+        request = Req("naive");
+        break;
+      case 5:
+        ++*insert_counter;
+        request = Req("db", StrCat("R(2) = { (k", *insert_counter, ", v",
+                                   *insert_counter, ") }"));
+        break;
+      case 6:
+        request = Req("query", kQuery);
+        break;
+      default:
+        request = Req("mu", "(c1)");
+        break;
+    }
+    request.id = StrCat("id", i);
+    if (static_cast<std::uint32_t>(rng()) % 3 == 0) {
+      request.no_cache = true;
+    }
+    Roundtrip(client, transcript, request);
+  }
+}
+
+std::vector<std::string> RunTranscript(plan::PlanMode mode,
+                                       std::uint32_t seed) {
   static int run_counter = 0;
   std::string snapdir =
       std::filesystem::temp_directory_path() /
       ("zo1_storage_diff_" +
-       std::string(mode == StorageMode::kScan ? "scan" : "indexed") + "_" +
-       std::to_string(seed) + "_" + std::to_string(run_counter++));
+       std::string(mode == plan::PlanMode::kInterpret ? "scan" : "indexed") +
+       "_" + std::to_string(seed) + "_" + std::to_string(run_counter++));
   std::filesystem::remove_all(snapdir);
   std::filesystem::create_directories(snapdir);
 
-  StorageMode previous = storage_mode();
-  SetStorageMode(mode);
+  plan::PlanMode previous = plan::plan_mode();
+  plan::SetPlanMode(mode);
 
   ServerOptions options;
   options.threads = 2;
   options.snapshot_dir = snapdir;
-  Server server(options);
-  Status started = server.Start();
+  auto server = std::make_unique<Server>(options);
+  Status started = server->Start();
   EXPECT_TRUE(started.ok()) << started.message();
 
   std::vector<std::string> transcript;
+  std::mt19937 rng(seed);
+  int insert_counter = 0;
   {
     RawClient client;
-    client.Connect(server.port());
+    client.Connect(server->port());
     Roundtrip(client, transcript, Req("db", kDb));
     Roundtrip(client, transcript, Req("query", kQuery));
-
-    // Seeded random read/mutate script, one request outstanding at a time.
-    std::mt19937 rng(seed);
-    int insert_counter = 0;
-    for (int i = 0; i < 30; ++i) {
-      std::uint32_t choice = static_cast<std::uint32_t>(rng()) % 8;
-      Request request;
-      switch (choice) {
-        case 0:
-        case 1:
-          request = Req("certain");
-          break;
-        case 2:
-          request = Req("possible");
-          break;
-        case 3:
-        case 4:
-          request = Req("naive");
-          break;
-        case 5:
-          ++insert_counter;
-          request = Req("db", StrCat("R(2) = { (k", insert_counter, ", v",
-                                     insert_counter, ") }"));
-          break;
-        case 6:
-          request = Req("query", kQuery);
-          break;
-        default:
-          request = Req("mu", "(c1)");
-          break;
-      }
-      request.id = StrCat("id", i);
-      if (static_cast<std::uint32_t>(rng()) % 3 == 0) {
-        request.no_cache = true;
-      }
-      Roundtrip(client, transcript, request);
-    }
+    RunScript(client, transcript, rng, &insert_counter, 0, 15);
   }
 
-  server.Shutdown();
-  SetStorageMode(previous);
+  // Restart on the same directory: the session comes back from disk.
+  server->Shutdown();
+  server = std::make_unique<Server>(options);
+  started = server->Start();
+  EXPECT_TRUE(started.ok()) << started.message();
+  EXPECT_EQ(server->stats().snapshots_loaded, 1u);
+  {
+    RawClient client;
+    client.Connect(server->port());
+    Roundtrip(client, transcript, Req("show"));
+    RunScript(client, transcript, rng, &insert_counter, 15, 30);
+  }
+
+  server->Shutdown();
+  server.reset();
+  plan::SetPlanMode(previous);
   std::filesystem::remove_all(snapdir);
   return transcript;
 }
@@ -184,9 +209,10 @@ class SvcStorageDiffTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(SvcStorageDiffTest, ScanAndIndexedTranscriptsAreByteIdentical) {
   const std::uint32_t seed = GetParam();
-  std::vector<std::string> scan = RunTranscript(StorageMode::kScan, seed);
+  std::vector<std::string> scan =
+      RunTranscript(plan::PlanMode::kInterpret, seed);
   std::vector<std::string> indexed =
-      RunTranscript(StorageMode::kIndexed, seed);
+      RunTranscript(plan::PlanMode::kCompiled, seed);
   ASSERT_EQ(scan.size(), indexed.size());
   for (std::size_t i = 0; i < scan.size(); ++i) {
     EXPECT_EQ(scan[i], indexed[i]) << "transcript diverges at frame " << i;
