@@ -64,6 +64,12 @@ constexpr const char* kColdDb =
 // ~0.5s of evaluation (5 nulls) for the overload and deadline scenarios.
 constexpr const char* kSlowDb =
     "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4), (c5, _5) }";
+// Six nulls for the µ^k deadline: `muk 16` evaluates the Theorem 3
+// polynomial over 163 967 (ρ, σ) points, ~0.4s serial (16^6 valuations
+// would be 16.8M). On kSlowDb the polynomial needs only 10 427 points and
+// answers inside a 25ms deadline.
+constexpr const char* kMuSlowDb =
+    "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4), (c5, _5), (c6, _6) }";
 constexpr const char* kQuery = "Q(x) := exists y . R(x, y)";
 // kQuery behind a double negation: the same answers, but outside Pos∀G and
 // the UCQs, so `certain` runs the exponential enumerator instead of naïve
@@ -97,7 +103,9 @@ void ReportCacheSpeedup(bench::Experiment* experiment, Server* server) {
   BlockingClient client;
   client.Connect("127.0.0.1", server->port());
   client.Call(MakeRequest("db", kColdDb, "cachebench"));
-  client.Call(MakeRequest("query", kQuery, "cachebench"));
+  // kQuery's `certain` is answered naïvely (Corollary 3) in well under a
+  // millisecond; the enumerator query keeps the cold request cold.
+  client.Call(MakeRequest("query", kEnumeratorQuery, "cachebench"));
 
   double cold_ms = CallMs(client, MakeRequest("certain", "", "cachebench"));
   // Median of repeated warm calls, to be robust against scheduler noise.
@@ -249,9 +257,11 @@ void ReportEpollScaling(bench::Experiment* experiment) {
 // The µ-heavy analytical path — until PR 9 the serving battery only ever
 // measured cheap reads (certain/possible on 4-5 nulls), so the heaviest
 // command the wire carries was never exercised here. `muk` evaluates µ^k
-// by sharded enumeration on the server's morsel pool; the claims check
-// that a 4-worker team returns the byte-identical payload of a serial
-// server, and that a deadline cancels the evaluation mid-parallel-run.
+// on the server's morsel pool, from the sharded Theorem 3 partition pass
+// when it has fewer points than the k^m valuations of the sharded
+// enumerator; the claims check that a 4-worker team returns the
+// byte-identical payload of a serial server, and that a deadline cancels
+// the evaluation mid-parallel-run.
 void ReportMuHeavy(bench::Experiment* experiment) {
   auto timed_muk = [](std::size_t par_threads, std::string* payload) {
     ServerOptions options;
@@ -292,10 +302,11 @@ void ReportMuHeavy(bench::Experiment* experiment) {
                     "a 4-worker morsel team serves the byte-identical mu^k "
                     "payload of a serial server");
 
-  // Deadline mid-parallel-evaluation: five nulls at k=16 is ~0.8s of
-  // enumeration (4-thread host, RelWithDebInfo); the 25ms deadline must surface as DEADLINE_EXCEEDED long
-  // before that, with the morsel team quiesced (the follow-up unhurried
-  // request on the same session still answers).
+  // Deadline mid-parallel-evaluation: six nulls at k=16 is ~0.15s of
+  // partition pass on a 4-worker team (4-thread host, RelWithDebInfo); the
+  // 25ms deadline must surface as DEADLINE_EXCEEDED long before that, with
+  // the morsel team quiesced (the follow-up unhurried request on the same
+  // session, 6^6 valuations by the enumerator, still answers).
   ServerOptions options;
   options.threads = 1;
   options.queue_capacity = 8;
@@ -307,7 +318,7 @@ void ReportMuHeavy(bench::Experiment* experiment) {
   }
   BlockingClient client;
   client.Connect("127.0.0.1", server.port());
-  client.Call(MakeRequest("db", kSlowDb, "mudeadline"));
+  client.Call(MakeRequest("db", kMuSlowDb, "mudeadline"));
   client.Call(MakeRequest("query", kQuery, "mudeadline"));
   Request bounded = MakeRequest("muk", "16 (c1)", "mudeadline");
   bounded.no_cache = true;
@@ -318,7 +329,7 @@ void ReportMuHeavy(bench::Experiment* experiment) {
   follow_up.no_cache = true;
   WireStatus follow_status = WireStatus::kOk;
   CallMs(client, follow_up, &follow_status);
-  std::printf("mu-heavy deadline: muk 16 on 5 nulls @deadline_ms=25 answered "
+  std::printf("mu-heavy deadline: muk 16 on 6 nulls @deadline_ms=25 answered "
               "%s in %.0fms; follow-up %s\n",
               std::string(WireStatusName(status)).c_str(), bounded_ms,
               std::string(WireStatusName(follow_status)).c_str());
@@ -447,7 +458,8 @@ void ReportDurability(bench::Experiment* experiment) {
 // sub-100µs direct baseline must not turn scheduler jitter into flake.
 //
 // Scaling: aggregate throughput of a CPU-bound µ-heavy mix (uncached
-// `muk`, serial per backend) through a router over three backends vs one.
+// `muk 16` on five nulls, ~40ms of serial partition pass per request)
+// through a router over three backends vs one.
 // Sessions are picked via the same HashRing the router uses so each
 // backend owns exactly two of the six workers. Gated on >=4 hardware
 // threads: with fewer cores the three backends time-share the same CPU
@@ -549,10 +561,10 @@ void ReportRouter(bench::Experiment* experiment) {
       clients.emplace_back([&, session] {
         BlockingClient client;
         if (!client.Connect("127.0.0.1", front->port()).ok()) return;
-        client.Call(MakeRequest("db", kColdDb, session));
+        client.Call(MakeRequest("db", kSlowDb, session));
         client.Call(MakeRequest("query", kQuery, session));
         for (int i = 0; i < kPerClient; ++i) {
-          Request heavy = MakeRequest("muk", "6 (c1)", session);
+          Request heavy = MakeRequest("muk", "16 (c1)", session);
           heavy.no_cache = true;
           client.Call(heavy);
         }

@@ -5,12 +5,16 @@
 #include <string_view>
 #include <utility>
 
+#include "common/parse.h"
+#include "common/partitions.h"
 #include "constraints/fd.h"
 #include "core/comparison.h"
 #include "core/conditional.h"
 #include "core/measure.h"
+#include "core/support.h"
 #include "core/ucq_compare.h"
 #include "obs/metrics.h"
+#include "par/pool.h"
 #include "plan/mode.h"
 #include "query/eval.h"
 #include "query/fragments.h"
@@ -66,17 +70,20 @@ void Count(ExactAlgorithm algorithm) {
     case ExactAlgorithm::kUcq:
       ZO_COUNTER_INC("core.exact.ucq");
       break;
+    case ExactAlgorithm::kPoly:
+      ZO_COUNTER_INC("core.exact.poly");
+      break;
   }
 }
 
 // The choice with the oracle gate applied.
 ExactAlgorithm Plan(ExactCommand command, const Query& query,
                     const ConstraintSet& constraints, const Database& db,
-                    const std::vector<Tuple>& tuples, ExactAlgorithm* used) {
+                    const ExactArgs& args, ExactAlgorithm* used) {
   ExactAlgorithm algorithm =
       plan::plan_mode() == plan::PlanMode::kInterpret
           ? ExactAlgorithm::kEnumerator
-          : ChooseExactAlgorithm(command, query, constraints, db, tuples);
+          : ChooseExactAlgorithm(command, query, constraints, db, args);
   Count(algorithm);
   if (used != nullptr) *used = algorithm;
   return algorithm;
@@ -96,7 +103,7 @@ bool ParseExactCommand(const std::string& name, ExactCommand* command) {
   static const std::pair<const char*, ExactCommand> kCommands[] = {
       {"certain", ExactCommand::kCertain}, {"cond", ExactCommand::kCond},
       {"best", ExactCommand::kBest},       {"bestmu", ExactCommand::kBestMu},
-      {"compare", ExactCommand::kCompare}};
+      {"compare", ExactCommand::kCompare}, {"muk", ExactCommand::kMuK}};
   for (const auto& [text, value] : kCommands) {
     if (name == text) {
       *command = value;
@@ -116,6 +123,8 @@ const char* ExactAlgorithmName(ExactAlgorithm algorithm) {
       return "chase";
     case ExactAlgorithm::kUcq:
       return "ucq";
+    case ExactAlgorithm::kPoly:
+      return "poly";
   }
   return "?";
 }
@@ -130,15 +139,27 @@ const char* ExactAlgorithmTheorem(ExactAlgorithm algorithm) {
       return "Theorem 5";
     case ExactAlgorithm::kUcq:
       return "Theorem 8";
+    case ExactAlgorithm::kPoly:
+      return "Theorem 3";
   }
   return "?";
 }
 
 ExactAlgorithm ChooseExactAlgorithm(ExactCommand command, const Query& query,
                                     const ConstraintSet& constraints,
-                                    const Database& db,
-                                    const std::vector<Tuple>& tuples) {
-  if (FormulaHasNulls(query) || !TupleNullsInDatabase(db, tuples)) {
+                                    const Database& db, const ExactArgs& args) {
+  if (command == ExactCommand::kMuK) {
+    // The polynomial is generic in the nulls of the tuple and the formula
+    // too: they are among the m nulls the partition pass enumerates.
+    assert(args.tuples.size() == 1);
+    SupportInstance instance = MakeSupportInstance(query, db, args.tuples[0]);
+    const unsigned m = static_cast<unsigned>(instance.nulls.size());
+    return PartitionPointCount(m, instance.prefix.size()) <
+                   BigInt::Pow(BigInt(static_cast<std::int64_t>(args.k)), m)
+               ? ExactAlgorithm::kPoly
+               : ExactAlgorithm::kEnumerator;
+  }
+  if (FormulaHasNulls(query) || !TupleNullsInDatabase(db, args.tuples)) {
     return ExactAlgorithm::kEnumerator;
   }
   const Formula& formula = *query.formula();
@@ -157,15 +178,27 @@ ExactAlgorithm ChooseExactAlgorithm(ExactCommand command, const Query& query,
                          kMaxUcqDisjuncts
                  ? ExactAlgorithm::kUcq
                  : ExactAlgorithm::kEnumerator;
+    case ExactCommand::kMuK:
+      break;  // Chosen above.
   }
   return ExactAlgorithm::kEnumerator;
 }
 
-StatusOr<std::vector<Tuple>> ParseExactTuples(ExactCommand command,
-                                              const Query& query,
-                                              const std::string& args) {
-  std::vector<Tuple> tuples;
+StatusOr<ExactArgs> ParseExactArgs(ExactCommand command, const Query& query,
+                                   const std::string& args) {
+  ExactArgs parsed;
   std::string_view rest = args;
+  if (command == ExactCommand::kMuK) {
+    // "<k> <tuple>".
+    const std::size_t space = rest.find(' ');
+    StatusOr<std::uint64_t> k = ParseUint64(rest.substr(0, space));
+    if (!k.ok() || *k == 0) return Status::Error("usage: muk <k> <tuple>");
+    if (*k > kMaxMukK) {
+      return Status::Error("k must be at most ", kMaxMukK, ", got ", *k);
+    }
+    parsed.k = *k;
+    rest = rest.substr(std::min(space, rest.size()));
+  }
   if (command == ExactCommand::kCompare) {
     // "(t1) (t2)", split at the first ')'.
     std::size_t split = rest.find(')');
@@ -174,23 +207,23 @@ StatusOr<std::vector<Tuple>> ParseExactTuples(ExactCommand command,
     }
     StatusOr<Tuple> first = ParseAnswerTuple(query, rest.substr(0, split + 1));
     if (!first.ok()) return first.status();
-    tuples.push_back(std::move(first).value());
+    parsed.tuples.push_back(std::move(first).value());
     rest = rest.substr(split + 1);
   }
-  if (command == ExactCommand::kCompare || command == ExactCommand::kCond) {
+  if (command == ExactCommand::kCompare || command == ExactCommand::kCond ||
+      command == ExactCommand::kMuK) {
     StatusOr<Tuple> last = ParseAnswerTuple(query, rest);
     if (!last.ok()) return last.status();
-    tuples.push_back(std::move(last).value());
+    parsed.tuples.push_back(std::move(last).value());
   }
-  return tuples;
+  return parsed;
 }
 
 std::string ExplainExactPlan(ExactCommand command, const Query& query,
                              const ConstraintSet& constraints,
-                             const Database& db,
-                             const std::vector<Tuple>& tuples) {
+                             const Database& db, const ExactArgs& args) {
   ExactAlgorithm algorithm =
-      ChooseExactAlgorithm(command, query, constraints, db, tuples);
+      ChooseExactAlgorithm(command, query, constraints, db, args);
   return std::string("exact: ") + ExactAlgorithmName(algorithm) + " (" +
          ExactAlgorithmTheorem(algorithm) + ")\n";
 }
@@ -228,7 +261,7 @@ SupportOrder ExactCompare(const Query& query, const Database& db,
                           const Tuple& a, const Tuple& b,
                           ExactAlgorithm* used) {
   SupportOrder order;
-  if (Plan(ExactCommand::kCompare, query, {}, db, {a, b}, used) ==
+  if (Plan(ExactCommand::kCompare, query, {}, db, ExactArgs{{a, b}}, used) ==
       ExactAlgorithm::kUcq) {
     order.a_in_b = !ValueOf(UcqSeparates(query, db, a, b));
     order.b_in_a = !ValueOf(UcqSeparates(query, db, b, a));
@@ -243,7 +276,8 @@ StatusOr<ExactConditional> ExactConditionalMu(
     const Query& query, const ConstraintSet& constraints, const Database& db,
     const Tuple& tuple, ExactAlgorithm* used) {
   ExactConditional result;
-  switch (Plan(ExactCommand::kCond, query, constraints, db, {tuple}, used)) {
+  switch (Plan(ExactCommand::kCond, query, constraints, db, ExactArgs{{tuple}},
+               used)) {
     case ExactAlgorithm::kChase: {
       std::vector<FunctionalDependency> fds;
       FdsOnly(constraints, &fds);
@@ -263,6 +297,27 @@ StatusOr<ExactConditional> ExactConditionalMu(
       return result;
     }
   }
+}
+
+StatusOr<Rational> ExactMuK(const Query& query, const Database& db,
+                            const Tuple& tuple, std::size_t k,
+                            ExactAlgorithm* used) {
+  SupportInstance instance = MakeSupportInstance(query, db, tuple);
+  if (k < instance.prefix.size()) {
+    return Status::Error("k must be at least |C ∪ Const(D)| = ",
+                         instance.prefix.size());
+  }
+  GenericInstance generic = ToGenericInstance(instance, db);
+  if (Plan(ExactCommand::kMuK, query, {}, db, ExactArgs{{tuple}, k}, used) ==
+      ExactAlgorithm::kPoly) {
+    const BigInt at(static_cast<std::int64_t>(k));
+    return ComputeGenericSupportPolynomial(generic, db).count.Evaluate(at) /
+           Rational(BigInt::Pow(
+               at, static_cast<unsigned>(instance.nulls.size())));
+  }
+  GenericSupportCount count =
+      CountGenericSupportParallel(generic, db, k, par::par_threads());
+  return Rational(count.support, count.total);
 }
 
 }  // namespace zeroone

@@ -2,6 +2,7 @@
 #define ZEROONE_CORE_EXACT_PLAN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,23 +16,29 @@ namespace zeroone {
 
 // Exact plans: the one layer between the front ends (svc::Dispatcher and
 // zeroone_cli) and the exact algorithms behind `certain`, `cond`, `best`,
-// `bestmu` and `compare`. For each request it picks the cheapest exact
-// algorithm one of the paper's theorems justifies for the (query, Σ,
+// `bestmu`, `compare` and `muk`. For each request it picks the cheapest
+// exact algorithm one of the paper's theorems justifies for the (query, Σ,
 // tuple), counts the choice as `core.exact.<algorithm>`, and runs it:
 //
-//   command                 applies when        algorithm
-//   certain                 Q ∈ Pos∀G           naive (Cor. 3)
-//   cond                    Σ only FDs          chase (Thm. 5)
-//   best, bestmu, compare   Q a UCQ             ucq (Thm. 8, Prop. 8)
+//   command                 applies when                algorithm
+//   certain                 Q ∈ Pos∀G                   naive (Cor. 3)
+//   cond                    Σ only FDs                  chase (Thm. 5)
+//   best, bestmu, compare   Q a UCQ                     ucq (Thm. 8, Prop. 8)
+//   muk                     (ρ, σ) points < k^m         poly (Thm. 3)
 //
-// Every fast path additionally needs a query formula without nulls, and
-// `cond` and `compare` need their tuples to be made of constants and nulls
-// of D. The UCQ path also needs a DNF of at most kMaxUcqDisjuncts clauses:
-// normalizing distributes ∧ over ∨, exponentially in the query. Everything
-// else runs the generic enumerators (CertainAnswers, ComputeConditionalMu,
-// BestAnswers, BestMuAnswers, WeaklyDominated), which stay the definitional
-// oracle. The choice is made per request, never when
-// the query is set.
+// Every fast path but poly additionally needs a query formula without
+// nulls, and `cond` and `compare` need their tuples to be made of constants
+// and nulls of D. The UCQ path also needs a DNF of at most kMaxUcqDisjuncts
+// clauses: normalizing distributes ∧ over ∨, exponentially in the query.
+// The poly path evaluates the Theorem 3 partition polynomial P(k) =
+// |Supp^k| at k, exact for every k ≥ |C ∪ Const(D)|, which is every k `muk`
+// accepts; it runs when its PartitionPointCount(m, |C ∪ Const(D)|) points
+// are fewer than the k^m valuations of the enumerator (m counts the nulls
+// of D, of the tuple and of the formula). Everything else runs the generic
+// enumerators (CertainAnswers, ComputeConditionalMu, BestAnswers,
+// BestMuAnswers, WeaklyDominated, the k^m counter of MuK), which stay the
+// definitional oracle. The choice is made per request, never when the
+// query is set.
 //
 // Oracle gate: under plan::PlanMode::kInterpret every request runs the
 // enumerator, so the reference evaluation path (and every differential
@@ -39,21 +46,22 @@ namespace zeroone {
 // paths against the definitions. ChooseExactAlgorithm and ExplainExactPlan
 // ignore the gate: they name what the production path runs.
 
-enum class ExactCommand { kCertain, kCond, kBest, kBestMu, kCompare };
+enum class ExactCommand { kCertain, kCond, kBest, kBestMu, kCompare, kMuK };
 
 enum class ExactAlgorithm {
   kEnumerator,  // The generic enumerators (definitions, exponential).
   kNaive,       // Corollary 3: naïve evaluation.
   kChase,       // Theorem 5: chase with the FDs, then MuLimit.
   kUcq,         // Theorem 8 / Proposition 8: small-witness Sep search.
+  kPoly,        // Theorem 3: the partition polynomial evaluated at k.
 };
 
 // Maps a wire/CLI command name to its exact command; false for commands
 // outside this layer.
 bool ParseExactCommand(const std::string& name, ExactCommand* command);
 
-// "enumerator", "naive", "chase", "ucq": the suffix of the core.exact.*
-// counter and the name in the explain line.
+// "enumerator", "naive", "chase", "ucq", "poly": the suffix of the
+// core.exact.* counter and the name in the explain line.
 const char* ExactAlgorithmName(ExactAlgorithm algorithm);
 // The result that justifies the algorithm, e.g. "Corollary 3".
 const char* ExactAlgorithmTheorem(ExactAlgorithm algorithm);
@@ -61,28 +69,36 @@ const char* ExactAlgorithmTheorem(ExactAlgorithm algorithm);
 // The largest DNF the UCQ path builds; larger UCQs run the enumerators.
 constexpr std::size_t kMaxUcqDisjuncts = 64;
 
-// The request's tuple arguments, each of the query's arity: one tuple for
-// cond, "(t1) (t2)" for compare, none for the other commands. Both front
-// ends parse exact requests with it, to run them and to explain them.
-StatusOr<std::vector<Tuple>> ParseExactTuples(ExactCommand command,
-                                              const Query& query,
-                                              const std::string& args);
+// Largest k `muk` accepts. The enumerator visits k^m valuations and mints
+// k − |C ∪ Const(D)| enumeration constants that are never reclaimed, so an
+// unchecked k (a negative one reads as 2^64 − 1) would abort the process on
+// its first allocation. The poly path costs the same at every k.
+constexpr std::uint64_t kMaxMukK = 4096;
+
+// The request's arguments: its tuples, each of the query's arity (one for
+// cond, "(t1) (t2)" for compare, "<k> <tuple>" for muk, none for the other
+// commands), and muk's k, a decimal in 1..kMaxMukK. Both front ends parse
+// exact requests with ParseExactArgs, to run them and to explain them.
+struct ExactArgs {
+  std::vector<Tuple> tuples;
+  std::size_t k = 0;
+};
+StatusOr<ExactArgs> ParseExactArgs(ExactCommand command, const Query& query,
+                                   const std::string& args);
 
 // The algorithm a theorem justifies for the request, from the command,
-// query, Σ, D and the request's ParseExactTuples tuples alone; independent
-// of the plan mode.
+// query, Σ, D and the request's arguments alone; independent of the plan
+// mode.
 ExactAlgorithm ChooseExactAlgorithm(ExactCommand command, const Query& query,
                                     const ConstraintSet& constraints,
-                                    const Database& db,
-                                    const std::vector<Tuple>& tuples);
+                                    const Database& db, const ExactArgs& args);
 
 // One line, "exact: <algorithm> (<theorem>)\n", for @explain=1 and
 // --explain. Same inputs as ChooseExactAlgorithm, so it is identical in
 // both plan modes.
 std::string ExplainExactPlan(ExactCommand command, const Query& query,
                              const ConstraintSet& constraints,
-                             const Database& db,
-                             const std::vector<Tuple>& tuples);
+                             const Database& db, const ExactArgs& args);
 
 // The runners. Each chooses, applies the oracle gate, counts, and runs;
 // `used`, when non-null, receives the algorithm that ran. Answers are
@@ -120,6 +136,14 @@ struct ExactConditional {
 StatusOr<ExactConditional> ExactConditionalMu(
     const Query& query, const ConstraintSet& constraints, const Database& db,
     const Tuple& tuple, ExactAlgorithm* used = nullptr);
+
+// µ^k(Q, D, ā) = |Supp^k| / k^m, byte-identical to MuK. The poly path
+// and the enumerator both run on the morsel pool under par::par_threads().
+// Fails when k < |C ∪ Const(D)|: the k constants would not cover the
+// enumeration prefix, and the polynomial is exact only from there on.
+StatusOr<Rational> ExactMuK(const Query& query, const Database& db,
+                            const Tuple& tuple, std::size_t k,
+                            ExactAlgorithm* used = nullptr);
 
 }  // namespace zeroone
 

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <memory>
 
 #include "common/partitions.h"
+#include "common/cancel.h"
 #include "core/valuation_engine.h"
+#include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/pool.h"
@@ -73,6 +77,21 @@ Rational GenericMuK(const GenericInstance& instance, const Database& db,
   return Rational(count.support, count.total);
 }
 
+namespace {
+
+// Shards per pool worker in the partition pass: slack for work stealing,
+// since the shards' point counts differ.
+constexpr std::size_t kShardsPerWorker = 4;
+
+// One shard's share of the partition pass.
+struct PartitionTally {
+  std::vector<std::uint64_t> witnessed;  // By free-block count f.
+  std::uint64_t partitions = 0;
+  std::uint64_t maps = 0;
+};
+
+}  // namespace
+
 GenericSupportPolynomial ComputeGenericSupportPolynomial(
     const GenericInstance& instance, const Database& db) {
   ZO_TRACE_SPAN("ComputeGenericSupportPolynomial");
@@ -87,32 +106,86 @@ GenericSupportPolynomial ComputeGenericSupportPolynomial(
   fresh.reserve(m);
   for (std::size_t i = 0; i < m; ++i) fresh.push_back(Value::FreshConstant());
 
-  // One tally per free-block count f; each witnessed point realizes
-  // (k−a)_f valuations, added once per f below.
+  // Work item (ρ, σ(block 0)): each partition ρ has a + 1 of them (block 0
+  // free, or mapped to one of A; the empty partition of m = 0 has one), and
+  // the items are dealt round-robin in enumeration order to the shards,
+  // one shard per morsel. Every shard walks the (cheap) partition sequence
+  // and evaluates the points of its own items only, on its worker's
+  // valuation image. Witnessed points are tallied per free-block count f
+  // and per shard; the sums are the same whichever worker ran which shard,
+  // so the polynomial is byte-identical at every width.
+  const std::size_t width = par::InParallelWorker() ? 1 : par::par_threads();
+  par::ForOptions options;
+  options.grain = 1;
+  options.max_workers = width;
+  par::ForPlan shards =
+      par::PlanMorsels(width <= 1 ? 1 : kShardsPerWorker * width, options);
+  std::vector<PartitionTally> partial(shards.morsels);
+  std::vector<std::unique_ptr<ValuationImage>> images(shards.workers);
+  par::ParallelFor(shards, [&](const par::Morsel& shard, std::size_t worker) {
+    std::unique_ptr<ValuationImage>& image = images[worker];
+    if (image == nullptr) {
+      image = std::make_unique<ValuationImage>(db, instance.nulls,
+                                               EngineImageMode());
+    }
+    PartitionTally& tally = partial[shard.index];
+    tally.witnessed.assign(m + 1, 0);
+    std::vector<Value> point(m);
+    std::vector<Value> block_value(m);
+    std::size_t item = 0;
+    bool stopped = false;
+    ForEachSetPartition(m, [&](const SetPartition& partition) {
+      const std::size_t t = partition.block_count;
+      // first < a maps block 0 to a_set[first]; first == a leaves it free.
+      for (std::size_t first = 0; first <= a; ++first) {
+        if (stopped) return;
+        if (t == 0 && first != a) continue;
+        if (item++ % shards.morsels != shard.index) continue;
+        if (first == a) ++tally.partitions;
+        const std::size_t rest_range = first == a ? a : a - 1;
+        ForEachInjectivePartialMap(
+            t == 0 ? 0 : t - 1, rest_range,
+            [&](const std::vector<std::size_t>& rest) {
+              if (stopped) return;
+              // The same fault site as ForEachPoint: a simulated failure
+              // mid-enumeration cancels through the installed token.
+              if (ZO_FAULT_POINT("core.valuation.cancel")) {
+                if (CancelToken* token = CurrentCancelToken()) token->Cancel();
+                stopped = true;
+                return;
+              }
+              ++tally.maps;
+              std::size_t free_blocks = 0;
+              for (std::size_t b = 0; b < t; ++b) {
+                // Blocks 1.. map into A without a_set[first].
+                std::size_t target = b == 0 ? first : rest[b - 1];
+                if (b > 0 && target != kUnassigned && target >= first) {
+                  ++target;
+                }
+                block_value[b] =
+                    target < a ? a_set[target] : fresh[free_blocks++];
+              }
+              for (std::size_t i = 0; i < m; ++i) {
+                point[i] = block_value[partition.blocks[i]];
+              }
+              image->Assign(point);
+              if (instance.witness(*image)) ++tally.witnessed[free_blocks];
+            });
+      }
+    });
+    return !stopped;
+  });
   std::vector<std::uint64_t> tally(m + 1, 0);
   std::uint64_t partitions = 0;
   std::uint64_t maps = 0;
-  ValuationImage image(db, instance.nulls, EngineImageMode());
-  std::vector<Value> point(m);
-  std::vector<Value> block_value(m);
-  ForEachSetPartition(m, [&](const SetPartition& partition) {
-    ++partitions;
-    const std::size_t t = partition.block_count;
-    ForEachInjectivePartialMap(
-        t, a, [&](const std::vector<std::size_t>& sigma) {
-          ++maps;
-          std::size_t free_blocks = 0;
-          for (std::size_t b = 0; b < t; ++b) {
-            block_value[b] = sigma[b] == kUnassigned ? fresh[free_blocks++]
-                                                     : a_set[sigma[b]];
-          }
-          for (std::size_t i = 0; i < m; ++i) {
-            point[i] = block_value[partition.blocks[i]];
-          }
-          image.Assign(point);
-          if (instance.witness(image)) ++tally[free_blocks];
-        });
-  });
+  for (const PartitionTally& shard : partial) {
+    for (std::size_t f = 0; f < shard.witnessed.size(); ++f) {
+      tally[f] += shard.witnessed[f];
+    }
+    partitions += shard.partitions;
+    maps += shard.maps;
+  }
+  // Each witnessed point realizes (k−a)_f valuations, added once per f.
   Polynomial result;
   std::uint64_t witnessed = 0;
   for (std::size_t f = 0; f <= m; ++f) {

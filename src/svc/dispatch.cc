@@ -16,7 +16,6 @@
 #include "constraints/parse.h"
 #include "core/exact_plan.h"
 #include "core/measure.h"
-#include "core/support.h"
 #include "core/support_polynomial.h"
 #include "data/io.h"
 #include "datalog/eval.h"
@@ -24,7 +23,6 @@
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/pool.h"
 #include "plan/cache.h"
 #include "query/eval.h"
 #include "query/parser.h"
@@ -84,56 +82,23 @@ static_assert(kShipBatchBytes + kMaxWalRecordBytes + 64 <= kMaxPayloadBytes,
               "a full ship batch plus one frame of overshoot must fit one "
               "wire payload, or FormatResponse would truncate mid-frame");
 
-// Largest k `muk` accepts. µ^k enumerates k^|Null(D)| valuations and mints
-// k - |C ∪ Const(D)| fresh constants that are never reclaimed, so an
-// unchecked k (a negative one reads as 2^64 - 1) would abort the process
-// on its first allocation.
-constexpr std::uint64_t kMaxMukK = 4096;
-
-struct MukArgs {
-  std::size_t k = 0;
-  Tuple tuple;
-};
-
-// `muk <k> <tuple>`: k a decimal in 1..kMaxMukK, then a tuple of the
-// query's arity. The run and @explain=1 both parse with it.
-StatusOr<MukArgs> ParseMukArgs(const Query& query, const std::string& args) {
-  const std::size_t space = args.find(' ');
-  StatusOr<std::uint64_t> parsed_k = ParseUint64(args.substr(0, space));
-  if (!parsed_k.ok() || *parsed_k == 0) {
-    return Status::Error("usage: muk <k> <tuple>");
-  }
-  if (*parsed_k > kMaxMukK) {
-    return Status::Error("k must be at most ", kMaxMukK, ", got ", *parsed_k);
-  }
-  MukArgs parsed;
-  parsed.k = *parsed_k;
-  ZO_ASSIGN_OR_RETURN(
-      parsed.tuple,
-      ParseAnswerTuple(query, std::string_view(args).substr(
-                                  std::min(space, args.size()))));
-  return parsed;
-}
-
 // The arguments of an explainable query command, checked by the parsers
 // its run uses, so @explain=1 answers ERR exactly where the run would:
-// the tuples of the exact commands, one tuple for mu and poly, k and a
-// tuple for muk. Other commands take no arguments to check.
-StatusOr<std::vector<Tuple>> ParseQueryCommandTuples(
-    const std::string& command, const Query& query, const std::string& args) {
+// those of the exact commands, one tuple for mu and poly. Other commands
+// take no arguments to check.
+StatusOr<ExactArgs> ParseQueryCommandArgs(const std::string& command,
+                                          const Query& query,
+                                          const std::string& args) {
   ExactCommand exact;
   if (ParseExactCommand(command, &exact)) {
-    return ParseExactTuples(exact, query, args);
+    return ParseExactArgs(exact, query, args);
   }
+  ExactArgs parsed;
   if (command == "mu" || command == "poly") {
     ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseAnswerTuple(query, args));
-    return std::vector<Tuple>{std::move(tuple)};
+    parsed.tuples.push_back(std::move(tuple));
   }
-  if (command == "muk") {
-    ZO_ASSIGN_OR_RETURN(MukArgs muk, ParseMukArgs(query, args));
-    return std::vector<Tuple>{std::move(muk.tuple)};
-  }
-  return std::vector<Tuple>{};
+  return parsed;
 }
 
 // Runs one command against the session. The caller holds the appropriate
@@ -204,21 +169,12 @@ StatusOr<std::string> RunCommand(SessionState* session,
     out << "mu = " << MuLimit(session->query, session->db, tuple);
   } else if (command == "muk") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
-    ZO_ASSIGN_OR_RETURN(MukArgs muk, ParseMukArgs(session->query, args));
-    const std::size_t k = muk.k;
-    const Tuple& tuple = muk.tuple;
-    SupportInstance instance =
-        MakeSupportInstance(session->query, session->db, tuple);
-    if (k < instance.prefix.size()) {
-      return Status::Error("k must be at least |C ∪ Const(D)| = ",
-                           instance.prefix.size());
-    }
-    // The sharded parallel counter is bit-identical to MuK (it partitions
-    // the same enumeration on the first null) and puts the heaviest single
-    // command on the morsel pool under the server's --par-threads budget.
-    Rational mu = MuKParallel(session->query, session->db, tuple, k,
-                              par::par_threads());
-    out << "mu^" << k << " = " << mu.ToString() << " ≈ " << mu.ToDouble();
+    ZO_ASSIGN_OR_RETURN(
+        ExactArgs muk,
+        ParseExactArgs(ExactCommand::kMuK, session->query, args));
+    ZO_ASSIGN_OR_RETURN(Rational mu, ExactMuK(session->query, session->db,
+                                              muk.tuples[0], muk.k));
+    out << "mu^" << muk.k << " = " << mu.ToString() << " ≈ " << mu.ToDouble();
   } else if (command == "poly") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
     ZO_ASSIGN_OR_RETURN(Tuple tuple, ParseAnswerTuple(session->query, args));
@@ -230,10 +186,10 @@ StatusOr<std::string> RunCommand(SessionState* session,
   } else if (command == "compare") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
     ZO_ASSIGN_OR_RETURN(
-        std::vector<Tuple> pair,
-        ParseExactTuples(ExactCommand::kCompare, session->query, args));
-    SupportOrder order =
-        ExactCompare(session->query, session->db, pair[0], pair[1]);
+        ExactArgs pair,
+        ParseExactArgs(ExactCommand::kCompare, session->query, args));
+    SupportOrder order = ExactCompare(session->query, session->db,
+                                      pair.tuples[0], pair.tuples[1]);
     bool ab = order.a_in_b;
     bool ba = order.b_in_a;
     out << "Supp(a) ⊆ Supp(b): " << (ab ? "yes" : "no")
@@ -270,12 +226,12 @@ StatusOr<std::string> RunCommand(SessionState* session,
   } else if (command == "cond") {
     ZO_RETURN_IF_ERROR(RequireQuery(*session));
     ZO_ASSIGN_OR_RETURN(
-        std::vector<Tuple> tuples,
-        ParseExactTuples(ExactCommand::kCond, session->query, args));
+        ExactArgs cond,
+        ParseExactArgs(ExactCommand::kCond, session->query, args));
     ZO_ASSIGN_OR_RETURN(ExactConditional result,
                         ExactConditionalMu(session->query,
                                            session->constraints, session->db,
-                                           tuples[0]));
+                                           cond.tuples[0]));
     out << "mu(Q|Sigma) = " << result.value.ToString();
     if (!result.sigma_satisfiable) out << "   (Sigma unsatisfiable)";
   } else if (command == "chase") {
@@ -641,11 +597,11 @@ Response Dispatcher::Execute(const Request& request) {
         response.payload = has_query.message();
         return response;
       }
-      StatusOr<std::vector<Tuple>> tuples = ParseQueryCommandTuples(
+      StatusOr<ExactArgs> args = ParseQueryCommandArgs(
           request.command, session->query, request.args);
-      if (!tuples.ok()) {
+      if (!args.ok()) {
         response.status = WireStatus::kErr;
-        response.payload = tuples.status().message();
+        response.payload = args.status().message();
         return response;
       }
       response.payload = ExplainQueryPlan(session->query, session->db);
@@ -653,7 +609,7 @@ Response Dispatcher::Execute(const Request& request) {
       if (ParseExactCommand(request.command, &exact)) {
         response.payload +=
             ExplainExactPlan(exact, session->query, session->constraints,
-                             session->db, tuples.value());
+                             session->db, args.value());
       }
       return response;
     }

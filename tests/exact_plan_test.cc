@@ -4,7 +4,9 @@
 // cases (negation, unguarded ∀…→, nulls in the formula, Σ with an IND,
 // tuple nulls outside Null(D), UCQs whose DNF is too large to build) must
 // run the enumerator, and so must every request under the interpreting
-// reference plan mode (the oracle gate).
+// reference plan mode (the oracle gate). The Theorem 3 path of `muk` is
+// held equal to MuK at every par width, on both sides of the point-count
+// crossover.
 
 #include "core/exact_plan.h"
 
@@ -13,19 +15,24 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/partitions.h"
 #include "constraints/fd.h"
 #include "constraints/ind.h"
 #include "core/comparison.h"
 #include "core/conditional.h"
 #include "core/measure.h"
+#include "core/support.h"
+#include "core/support_polynomial.h"
 #include "data/io.h"
 #include "gen/random_db.h"
 #include "gen/random_query.h"
 #include "obs/metrics.h"
+#include "par/pool.h"
 #include "plan/mode.h"
 #include "query/eval.h"
 #include "query/fragments.h"
@@ -210,13 +217,118 @@ TEST_P(ExactPlanSeeds, CondWithFdsMatchesEnumerator) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactPlanSeeds, ::testing::Range(0, 4));
 
+// Runs `body` with the morsel budget at `width`, then restores the budget.
+template <typename Body>
+auto AtWidth(std::size_t width, Body body) {
+  const std::size_t previous = par::par_threads();
+  par::SetParThreads(width);
+  auto result = body();
+  par::SetParThreads(previous);
+  return result;
+}
+
+// Whether the poly path's (ρ, σ) points are fewer than the k^m valuations.
+bool PolyBeatsEnumeration(const Query& query, const Database& db,
+                          const Tuple& tuple, std::size_t k) {
+  SupportInstance instance = MakeSupportInstance(query, db, tuple);
+  const unsigned m = static_cast<unsigned>(instance.nulls.size());
+  return PartitionPointCount(m, instance.prefix.size()) <
+         BigInt::Pow(BigInt(static_cast<std::int64_t>(k)), m);
+}
+
+// The k a muk probe runs at: a = |C ∪ Const(D)| and a + 1, both sides of
+// the crossover where the (ρ, σ) points first fall below k^m, and 48 when
+// 48^m stays small enough to enumerate in the oracle.
+std::vector<std::size_t> MukProbeKs(const Query& query, const Database& db,
+                                    const Tuple& tuple) {
+  SupportInstance instance = MakeSupportInstance(query, db, tuple);
+  const std::size_t a = std::max<std::size_t>(instance.prefix.size(), 1);
+  std::set<std::size_t> ks = {a, a + 1};
+  if (!instance.nulls.empty()) {
+    std::size_t cross = a;
+    while (!PolyBeatsEnumeration(query, db, tuple, cross)) ++cross;
+    ks.insert({cross - 1, cross, cross + 1});
+  }
+  if (instance.nulls.size() <= 2) ks.insert(48);
+  std::vector<std::size_t> result;
+  for (std::size_t k : ks) {
+    if (k >= a) result.push_back(k);
+  }
+  return result;
+}
+
+// ExactMuK equals MuK byte for byte in both plan modes at widths 1, 2, 4
+// and 8, and takes the poly path exactly when the choice rule says so
+// (never under the oracle gate).
+void ExpectMuKMatches(const Query& query, const Database& db,
+                      const Tuple& tuple) {
+  for (std::size_t k : MukProbeKs(query, db, tuple)) {
+    const std::string expected = MuK(query, db, tuple, k).ToString();
+    const bool poly = PolyBeatsEnumeration(query, db, tuple, k);
+    for (plan::PlanMode mode :
+         {plan::PlanMode::kCompiled, plan::PlanMode::kInterpret}) {
+      PlanModeGuard guard(mode);
+      for (std::size_t width : {1u, 2u, 4u, 8u}) {
+        ExactAlgorithm used = ExactAlgorithm::kNaive;
+        StatusOr<Rational> mu = AtWidth(
+            width, [&] { return ExactMuK(query, db, tuple, k, &used); });
+        ASSERT_TRUE(mu.ok()) << mu.status().message();
+        EXPECT_EQ(mu->ToString(), expected)
+            << query.ToString() << " at " << tuple.ToString() << ", k = " << k
+            << ", width " << width << "\n" << db.ToString();
+        EXPECT_EQ(used, mode == plan::PlanMode::kCompiled && poly
+                            ? ExactAlgorithm::kPoly
+                            : ExactAlgorithm::kEnumerator)
+            << query.ToString() << ", k = " << k;
+      }
+    }
+  }
+}
+
+// Theorem 3: µ^k from the partition polynomial, on random unary and
+// Boolean queries with negation, a formula that mentions a null, and a
+// tuple null outside Null(D).
+TEST(MuKPlanDiffParallelTest, ExactMuKMatchesMuKInBothModesAtEveryWidth) {
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    Database db = RandomDb(7400 + i);
+    for (std::size_t free : {0u, 1u}) {
+      Query query = GenerateRandomFo(QueryOptions(7500 + i * 2 + free, free),
+                                     /*negation_probability=*/0.4);
+      std::vector<Tuple> probes = ProbesFor(query, db);
+      // The first and last probes: a value of adom(D) and one outside it.
+      ExpectMuKMatches(query, db, probes.front());
+      if (probes.size() > 1) ExpectMuKMatches(query, db, probes.back());
+    }
+  }
+  Database db = Db("R(2) = { (c1, _1), (_1, c2), (c2, c3) }");
+  ExpectMuKMatches(Q("Q(x) := exists y . R(x, y) & !R(y, x)"), db,
+                   Tuple{Value::Constant("c2")});
+  ExpectMuKMatches(Q("Q() := exists x . R(x, x) | !R(c2, c3)"), db, Tuple{});
+  Query with_null("Q", {0},
+                  Formula::Atom("R", {Term::Variable(0),
+                                      Term::Val(Value::Null("2"))}),
+                  {"x"});
+  ExpectMuKMatches(with_null, db, Tuple{Value::Constant("c1")});
+  ExpectMuKMatches(Q("Q(x) := exists y . R(x, y)"), db,
+                   Tuple{Value::Null("not_in_db")});
+}
+
+TEST(ExactPlanTest, MukBelowThePrefixIsRefused) {
+  Database db = Db("R(2) = { (c1, _1), (c2, c3) }");
+  StatusOr<Rational> mu =
+      ExactMuK(Q("Q(x) := exists y . R(x, y)"), db,
+               Tuple{Value::Constant("c1")}, 2);
+  ASSERT_FALSE(mu.ok());
+  EXPECT_EQ(mu.status().message(), "k must be at least |C ∪ Const(D)| = 3");
+}
+
 TEST(ExactPlanTest, NegativeCasesChooseTheEnumerator) {
   Database db = Db("R(2) = { (c1, _1), (_1, c2), (c2, c2) } "
                    "S(2) = { (c1, c2), (_2, c1) } U(1) = { (c1), (_2) }");
   const ConstraintSet none;
   auto choose = [&](ExactCommand command, const Query& query,
                     const std::vector<Tuple>& tuples = {}) {
-    return ChooseExactAlgorithm(command, query, none, db, tuples);
+    return ChooseExactAlgorithm(command, query, none, db, ExactArgs{tuples});
   };
   // Negation.
   Query negation = Q("Q(x) := exists y . R(x, y) & !S(x, y)");
@@ -269,14 +381,16 @@ TEST(ExactPlanTest, NegativeCasesChooseTheEnumerator) {
         "R", 2, from, naive ? "R" : "U", naive ? 2 : 1,
         std::vector<std::size_t>{0})};
     EXPECT_EQ(MuLimit(ConstraintSetQuery(ind), db), naive ? 1 : 0);
-    EXPECT_EQ(ChooseExactAlgorithm(ExactCommand::kCond, ucq, ind, db, {c1}),
+    EXPECT_EQ(ChooseExactAlgorithm(ExactCommand::kCond, ucq, ind, db,
+                                   ExactArgs{{c1}}),
               ExactAlgorithm::kEnumerator);
     ExpectCondMatches(ucq, ind, db, c1, ExactAlgorithm::kEnumerator);
   }
   // Tuple nulls outside Null(D).
   const Tuple outside{Value::Null("not_in_db")};
   const ConstraintSet fd = Fds({FunctionalDependency("R", 2, {0}, 1)});
-  EXPECT_EQ(ChooseExactAlgorithm(ExactCommand::kCond, ucq, fd, db, {outside}),
+  EXPECT_EQ(ChooseExactAlgorithm(ExactCommand::kCond, ucq, fd, db,
+                                 ExactArgs{{outside}}),
             ExactAlgorithm::kEnumerator);
   ExpectCondMatches(ucq, fd, db, outside, ExactAlgorithm::kEnumerator);
   EXPECT_EQ(choose(ExactCommand::kCompare, ucq, {c1, outside}),
@@ -305,7 +419,8 @@ TEST(ExactPlanTest, NegativeCasesChooseTheEnumerator) {
   EXPECT_EQ(choose(ExactCommand::kBest, ucq), ExactAlgorithm::kUcq);
   EXPECT_EQ(choose(ExactCommand::kCompare, ucq, {c1, Tuple{Value::Null("1")}}),
             ExactAlgorithm::kUcq);
-  EXPECT_EQ(ChooseExactAlgorithm(ExactCommand::kCond, ucq, fd, db, {c1}),
+  EXPECT_EQ(ChooseExactAlgorithm(ExactCommand::kCond, ucq, fd, db,
+                                 ExactArgs{{c1}}),
             ExactAlgorithm::kChase);
 }
 
@@ -331,11 +446,12 @@ TEST(ExactPlanTest, InterpretModeAlwaysRunsTheEnumerator) {
   {
     PlanModeGuard mode(plan::PlanMode::kCompiled);
     explain_compiled =
-        ExplainExactPlan(ExactCommand::kCond, query, fd, db, {c1});
+        ExplainExactPlan(ExactCommand::kCond, query, fd, db, ExactArgs{{c1}});
   }
   PlanModeGuard mode(plan::PlanMode::kInterpret);
   // The explain line names the production algorithm in either mode.
-  EXPECT_EQ(ExplainExactPlan(ExactCommand::kCond, query, fd, db, {c1}),
+  EXPECT_EQ(ExplainExactPlan(ExactCommand::kCond, query, fd, db,
+                             ExactArgs{{c1}}),
             explain_compiled);
   EXPECT_EQ(explain_compiled, "exact: chase (Theorem 5)\n");
   ExactAlgorithm used = ExactAlgorithm::kNaive;
@@ -465,6 +581,9 @@ TEST(ExactPlanTest, ServedExplainAppendsTheExactLine) {
       {Req("compare", "(c1) (_1)"), "exact: ucq (Theorem 8)\n"},
       // R[1] ⊆ R[0] fails naïvely on ⊥1.
       {Req("cond", "(c1)"), "exact: enumerator (no theorem applies)\n"},
+      // One null, two constants: 3 (ρ, σ) points against k valuations.
+      {Req("muk", "3 (c1)"), "exact: enumerator (no theorem applies)\n"},
+      {Req("muk", "4 (c1)"), "exact: poly (Theorem 3)\n"},
   };
   for (auto [request, line] : cases) {
     request.explain = true;
@@ -528,6 +647,43 @@ TEST(ExactPlanTest, CountersRecordEachChoice) {
   EXPECT_EQ(count("ucq") - ucq_count, 1u);
   EXPECT_EQ(count("chase") - chase, 1u);
   EXPECT_EQ(count("enumerator") - enumerator, 1u);
+}
+
+// The closed form is the length of the partition pass, and the poly path
+// counts (ρ, σ) points, never valuations.
+TEST(ExactPlanTest, PolyMukCountsPartitionPointsNotValuations) {
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter& maps =
+      registry.GetCounter("support.partition_maps_enumerated");
+  obs::Counter& valuations =
+      registry.GetCounter("support.valuations_enumerated");
+  obs::Counter& poly = registry.GetCounter("core.exact.poly");
+  PlanModeGuard mode(plan::PlanMode::kCompiled);
+  const Query query = Q("Q(x) := exists y . R(x, y) & !R(y, x)");
+  for (const char* text :
+       {"R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4) }",
+        "R(2) = { (c1, _1), (_2, _3), (c2, c1) }", "R(2) = { (c1, c2) }"}) {
+    Database db = Db(text);
+    const Tuple c1{Value::Constant("c1")};
+    SupportInstance instance = MakeSupportInstance(query, db, c1);
+    std::uint64_t before = maps.value();
+    ComputeSupportPolynomial(query, db, c1);
+    EXPECT_EQ(BigInt(static_cast<std::int64_t>(maps.value() - before)),
+              PartitionPointCount(instance.nulls.size(),
+                                  instance.prefix.size()))
+        << text;
+    // Four nulls and four constants: 799 points, against 12^4 valuations.
+    if (instance.nulls.size() != 4) continue;
+    before = maps.value();
+    const std::uint64_t valuations_before = valuations.value();
+    const std::uint64_t poly_before = poly.value();
+    ExactAlgorithm used = ExactAlgorithm::kEnumerator;
+    ASSERT_TRUE(ExactMuK(query, db, c1, 12, &used).ok());
+    EXPECT_EQ(used, ExactAlgorithm::kPoly);
+    EXPECT_EQ(poly.value() - poly_before, 1u);
+    EXPECT_EQ(maps.value() - before, 799u);
+    EXPECT_EQ(valuations.value(), valuations_before);
+  }
 }
 #endif
 

@@ -21,7 +21,9 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "fault/fault.h"
 #include "obs/metrics.h"
+#include "plan/mode.h"
 #include "svc/cache.h"
 #include "svc/client.h"
 #include "svc/dispatch.h"
@@ -403,6 +405,70 @@ TEST(DispatcherTest, EnumeratorCertainMintsConstantsOncePerRequest) {
   ASSERT_EQ(response.status, WireStatus::kOk) << response.payload;
   // One enumeration constant per null of D (4), not 4 per candidate.
   EXPECT_EQ(fresh.value() - before, 4u);
+}
+#endif
+
+// Restores the plan mode a test pinned.
+class PlanModeGuard {
+ public:
+  explicit PlanModeGuard(plan::PlanMode mode) : previous_(plan::plan_mode()) {
+    plan::SetPlanMode(mode);
+  }
+  ~PlanModeGuard() { plan::SetPlanMode(previous_); }
+
+ private:
+  plan::PlanMode previous_;
+};
+
+#if ZEROONE_OBS_ENABLED
+TEST(DispatcherTest, PolynomialMukMintsOneConstantPerNull) {
+  PlanModeGuard mode(plan::PlanMode::kCompiled);
+  Dispatcher dispatcher(Dispatcher::Options{});
+  dispatcher.Execute(MakeRequest("db", kFastDb));
+  dispatcher.Execute(MakeRequest("query", kQuery));
+  obs::Counter& fresh =
+      obs::Registry::Global().GetCounter("data.fresh_constants");
+  Request muk = MakeRequest("muk", "12 (c1)");
+  muk.no_cache = true;
+  const std::uint64_t before = fresh.value();
+  Response response = dispatcher.Execute(muk);
+  ASSERT_EQ(response.status, WireStatus::kOk) << response.payload;
+  // The partition pass mints one constant per null (4); the k^m counter
+  // would mint k − |Const(D)| = 8.
+  EXPECT_EQ(fresh.value() - before, 4u);
+}
+#endif
+
+#if ZEROONE_FAULT_ENABLED
+TEST(DispatcherTest, ValuationCancelFaultStopsThePolynomialMuk) {
+  // core.valuation.cancel fires inside the partition pass as it does in
+  // the valuation odometer: the request answers DEADLINE_EXCEEDED with the
+  // partial polynomial discarded, and a retry answers as before the fault.
+  PlanModeGuard mode(plan::PlanMode::kCompiled);
+  fault::Registry::Global().Clear();
+  Dispatcher dispatcher(Dispatcher::Options{});
+  dispatcher.Execute(MakeRequest("db", kFastDb));
+  dispatcher.Execute(MakeRequest("query", kQuery));
+  Request muk = MakeRequest("muk", "12 (c1)");
+  muk.no_cache = true;
+  Request explain = muk;
+  explain.explain = true;
+  const std::string plan = dispatcher.Execute(explain).payload;
+  ASSERT_NE(plan.find("exact: poly (Theorem 3)"), std::string::npos) << plan;
+  auto run = [&] {
+    return dispatcher.ExecuteAdmitted(muk, std::chrono::steady_clock::now(),
+                                      /*deadline_ms=*/0);
+  };
+  Response clean = run();
+  ASSERT_EQ(clean.status, WireStatus::kOk) << clean.payload;
+  ASSERT_TRUE(
+      fault::Registry::Global().Configure("core.valuation.cancel=#1").ok());
+  Response faulted = run();
+  fault::Registry::Global().Clear();
+  EXPECT_EQ(faulted.status, WireStatus::kDeadlineExceeded) << faulted.payload;
+  Response retry = run();
+  EXPECT_EQ(retry.status, WireStatus::kOk) << retry.payload;
+  EXPECT_EQ(retry.payload, clean.payload);
 }
 #endif
 

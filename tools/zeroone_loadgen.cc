@@ -112,13 +112,14 @@ constexpr const char* kDatabase =
     "S(1) = { (a), (b), (_2) }";
 constexpr const char* kQuery = "Q(x) := exists y . R(x, y) & S(x)";
 
-// --mu-heavy: four nulls make `muk 6` enumerate 6^4 valuations per request
-// — tens of milliseconds of evaluation on the server's morsel pool, heavy
-// enough to straddle a chaos kill window but bounded for CI.
+// --mu-heavy: five nulls make `muk 16` evaluate the Theorem 3 polynomial
+// over 10 427 (ρ, σ) points per request (16^5 valuations would be over a
+// million) — tens of milliseconds of evaluation on the server's morsel
+// pool, heavy enough to straddle a chaos kill window but bounded for CI.
 constexpr const char* kMuHeavyDatabase =
-    "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4) }";
+    "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4), (c5, _5) }";
 constexpr const char* kMuHeavyQuery = "Q(x) := exists y . R(x, y)";
-constexpr const char* kMuHeavyArgs = "6 (c1)";
+constexpr const char* kMuHeavyArgs = "16 (c1)";
 
 const char* const kReadCommands[] = {"certain", "possible", "naive", "certain"};
 const char* const kMuHeavyCommands[] = {"muk", "certain", "muk", "naive"};
