@@ -257,11 +257,10 @@ void ReportEpollScaling(bench::Experiment* experiment) {
 // The µ-heavy analytical path — until PR 9 the serving battery only ever
 // measured cheap reads (certain/possible on 4-5 nulls), so the heaviest
 // command the wire carries was never exercised here. `muk` evaluates µ^k
-// on the server's morsel pool, from the sharded Theorem 3 partition pass
-// when it has fewer points than the k^m valuations of the sharded
-// enumerator; the claims check that a 4-worker team returns the
-// byte-identical payload of a serial server, and that a deadline cancels
-// the evaluation mid-parallel-run.
+// on the server's morsel pool, from the sharded Theorem 3 partition pass;
+// the claims check that a 4-worker team returns the byte-identical
+// payload of a serial server, and that a deadline cancels the evaluation
+// mid-parallel-run.
 void ReportMuHeavy(bench::Experiment* experiment) {
   auto timed_muk = [](std::size_t par_threads, std::string* payload) {
     ServerOptions options;
@@ -306,7 +305,7 @@ void ReportMuHeavy(bench::Experiment* experiment) {
   // partition pass on a 4-worker team (4-thread host, RelWithDebInfo); the
   // 25ms deadline must surface as DEADLINE_EXCEEDED long before that, with
   // the morsel team quiesced (the follow-up unhurried request on the same
-  // session, 6^6 valuations by the enumerator, still answers).
+  // session still answers).
   ServerOptions options;
   options.threads = 1;
   options.queue_capacity = 8;

@@ -113,25 +113,6 @@ BigInt StirlingSecond(std::size_t n, std::size_t t) {
   return row[t];
 }
 
-BigInt PartitionPointCount(std::size_t n, std::size_t range) {
-  BigInt total(0);
-  for (std::size_t t = 0; t <= n; ++t) {
-    // Σ_j C(t, j)·(range)_j: choose which j blocks σ maps, then their
-    // distinct targets in order.
-    BigInt maps(0);
-    BigInt choose(1);
-    BigInt falling(1);
-    for (std::size_t j = 0; j <= std::min(t, range); ++j) {
-      maps += choose * falling;
-      choose = choose * BigInt(static_cast<std::int64_t>(t - j)) /
-               BigInt(static_cast<std::int64_t>(j + 1));
-      falling *= BigInt(static_cast<std::int64_t>(range - j));
-    }
-    total += StirlingSecond(n, t) * maps;
-  }
-  return total;
-}
-
 void ForEachInjectivePartialMap(
     std::size_t domain, std::size_t range,
     const std::function<void(const std::vector<std::size_t>&)>& visitor) {

@@ -37,13 +37,6 @@ BigInt BellNumber(std::size_t n);
 // into exactly t nonempty blocks.
 BigInt StirlingSecond(std::size_t n, std::size_t t);
 
-// The number of pairs (ρ, σ) of a set partition ρ of {0, …, n−1} and an
-// injective partial map σ from ρ's blocks into {0, …, range−1}:
-// Σ_t S(n, t) · Σ_j C(t, j) · (range)_j. These are the points the
-// partition-polynomial algorithm (proof of Theorem 3) evaluates for n nulls
-// and a prefix of `range` constants.
-BigInt PartitionPointCount(std::size_t n, std::size_t range);
-
 // Invokes visitor for every injective partial map from {0,…,domain−1} into
 // {0,…,range−1}. The map is passed as a vector m of length `domain` where
 // m[i] == kUnassigned means i is outside the map's domain. Used to enumerate

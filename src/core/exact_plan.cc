@@ -6,12 +6,12 @@
 #include <utility>
 
 #include "common/parse.h"
-#include "common/partitions.h"
 #include "constraints/fd.h"
 #include "core/comparison.h"
 #include "core/conditional.h"
 #include "core/measure.h"
 #include "core/support.h"
+#include "core/support_polynomial.h"
 #include "core/ucq_compare.h"
 #include "obs/metrics.h"
 #include "par/pool.h"
@@ -148,17 +148,9 @@ const char* ExactAlgorithmTheorem(ExactAlgorithm algorithm) {
 ExactAlgorithm ChooseExactAlgorithm(ExactCommand command, const Query& query,
                                     const ConstraintSet& constraints,
                                     const Database& db, const ExactArgs& args) {
-  if (command == ExactCommand::kMuK) {
-    // The polynomial is generic in the nulls of the tuple and the formula
-    // too: they are among the m nulls the partition pass enumerates.
-    assert(args.tuples.size() == 1);
-    SupportInstance instance = MakeSupportInstance(query, db, args.tuples[0]);
-    const unsigned m = static_cast<unsigned>(instance.nulls.size());
-    return PartitionPointCount(m, instance.prefix.size()) <
-                   BigInt::Pow(BigInt(static_cast<std::int64_t>(args.k)), m)
-               ? ExactAlgorithm::kPoly
-               : ExactAlgorithm::kEnumerator;
-  }
+  // The polynomial is generic in the nulls of the tuple and the formula too:
+  // they are among the m nulls the partition pass enumerates.
+  if (command == ExactCommand::kMuK) return ExactAlgorithm::kPoly;
   if (FormulaHasNulls(query) || !TupleNullsInDatabase(db, args.tuples)) {
     return ExactAlgorithm::kEnumerator;
   }
@@ -179,7 +171,7 @@ ExactAlgorithm ChooseExactAlgorithm(ExactCommand command, const Query& query,
                  ? ExactAlgorithm::kUcq
                  : ExactAlgorithm::kEnumerator;
     case ExactCommand::kMuK:
-      break;  // Chosen above.
+      break;  // Returned above.
   }
   return ExactAlgorithm::kEnumerator;
 }
@@ -307,17 +299,14 @@ StatusOr<Rational> ExactMuK(const Query& query, const Database& db,
     return Status::Error("k must be at least |C ∪ Const(D)| = ",
                          instance.prefix.size());
   }
-  GenericInstance generic = ToGenericInstance(instance, db);
   if (Plan(ExactCommand::kMuK, query, {}, db, ExactArgs{{tuple}, k}, used) ==
-      ExactAlgorithm::kPoly) {
-    const BigInt at(static_cast<std::int64_t>(k));
-    return ComputeGenericSupportPolynomial(generic, db).count.Evaluate(at) /
-           Rational(BigInt::Pow(
-               at, static_cast<unsigned>(instance.nulls.size())));
+      ExactAlgorithm::kEnumerator) {
+    return MuKParallel(query, db, tuple, k, par::par_threads());
   }
-  GenericSupportCount count =
-      CountGenericSupportParallel(generic, db, k, par::par_threads());
-  return Rational(count.support, count.total);
+  const BigInt at(static_cast<std::int64_t>(k));
+  const unsigned m = static_cast<unsigned>(instance.nulls.size());
+  return ComputeSupportPolynomial(query, db, tuple).count.Evaluate(at) /
+         Rational(BigInt::Pow(at, m));
 }
 
 }  // namespace zeroone

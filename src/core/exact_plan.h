@@ -24,7 +24,7 @@ namespace zeroone {
 //   certain                 Q ∈ Pos∀G                   naive (Cor. 3)
 //   cond                    Σ only FDs                  chase (Thm. 5)
 //   best, bestmu, compare   Q a UCQ                     ucq (Thm. 8, Prop. 8)
-//   muk                     (ρ, σ) points < k^m         poly (Thm. 3)
+//   muk                     always                      poly (Thm. 3)
 //
 // Every fast path but poly additionally needs a query formula without
 // nulls, and `cond` and `compare` need their tuples to be made of constants
@@ -32,12 +32,11 @@ namespace zeroone {
 // clauses: normalizing distributes ∧ over ∨, exponentially in the query.
 // The poly path evaluates the Theorem 3 partition polynomial P(k) =
 // |Supp^k| at k, exact for every k ≥ |C ∪ Const(D)|, which is every k `muk`
-// accepts; it runs when its PartitionPointCount(m, |C ∪ Const(D)|) points
-// are fewer than the k^m valuations of the enumerator (m counts the nulls
-// of D, of the tuple and of the formula). Everything else runs the generic
-// enumerators (CertainAnswers, ComputeConditionalMu, BestAnswers,
-// BestMuAnswers, WeaklyDominated, the k^m counter of MuK), which stay the
-// definitional oracle. The choice is made per request, never when the
+// accepts, and for every generic query (the nulls of the tuple and of the
+// formula are among the m nulls it enumerates). Everything else runs the
+// generic enumerators (CertainAnswers, ComputeConditionalMu, BestAnswers,
+// BestMuAnswers, WeaklyDominated), which stay the definitional oracle with
+// the k^m counter of MuK. The choice is made per request, never when the
 // query is set.
 //
 // Oracle gate: under plan::PlanMode::kInterpret every request runs the
@@ -69,10 +68,11 @@ const char* ExactAlgorithmTheorem(ExactAlgorithm algorithm);
 // The largest DNF the UCQ path builds; larger UCQs run the enumerators.
 constexpr std::size_t kMaxUcqDisjuncts = 64;
 
-// Largest k `muk` accepts. The enumerator visits k^m valuations and mints
+// Largest k `muk` accepts. The poly path costs the same at every k, but the
+// oracle gate's enumerator visits k^m valuations and mints
 // k − |C ∪ Const(D)| enumeration constants that are never reclaimed, so an
 // unchecked k (a negative one reads as 2^64 − 1) would abort the process on
-// its first allocation. The poly path costs the same at every k.
+// its first allocation.
 constexpr std::uint64_t kMaxMukK = 4096;
 
 // The request's arguments: its tuples, each of the query's arity (one for
@@ -137,8 +137,9 @@ StatusOr<ExactConditional> ExactConditionalMu(
     const Query& query, const ConstraintSet& constraints, const Database& db,
     const Tuple& tuple, ExactAlgorithm* used = nullptr);
 
-// µ^k(Q, D, ā) = |Supp^k| / k^m, byte-identical to MuK. The poly path
-// and the enumerator both run on the morsel pool under par::par_threads().
+// µ^k(Q, D, ā) = |Supp^k| / k^m, byte-identical to MuK: P(k)/k^m from
+// ComputeSupportPolynomial, or MuKParallel under the oracle gate, both on
+// the morsel pool under par::par_threads().
 // Fails when k < |C ∪ Const(D)|: the k constants would not cover the
 // enumeration prefix, and the polynomial is exact only from there on.
 StatusOr<Rational> ExactMuK(const Query& query, const Database& db,

@@ -5,22 +5,21 @@
 // tuple nulls outside Null(D), UCQs whose DNF is too large to build) must
 // run the enumerator, and so must every request under the interpreting
 // reference plan mode (the oracle gate). The Theorem 3 path of `muk` is
-// held equal to MuK at every par width, on both sides of the point-count
-// crossover.
+// held equal to MuK at every par width.
 
 #include "core/exact_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/partitions.h"
 #include "constraints/fd.h"
 #include "constraints/ind.h"
 #include "core/comparison.h"
@@ -29,6 +28,8 @@
 #include "core/support.h"
 #include "core/support_polynomial.h"
 #include "data/io.h"
+#include "datalog/measure.h"
+#include "datalog/parser.h"
 #include "gen/random_db.h"
 #include "gen/random_query.h"
 #include "obs/metrics.h"
@@ -37,6 +38,7 @@
 #include "query/eval.h"
 #include "query/fragments.h"
 #include "query/parser.h"
+#include "plan_mode_guard.h"
 #include "svc/dispatch.h"
 
 namespace zeroone {
@@ -61,18 +63,6 @@ ConstraintSet Fds(std::vector<FunctionalDependency> fds) {
   }
   return set;
 }
-
-// Restores the plan mode a test switched.
-class PlanModeGuard {
- public:
-  explicit PlanModeGuard(plan::PlanMode mode) : previous_(plan::plan_mode()) {
-    plan::SetPlanMode(mode);
-  }
-  ~PlanModeGuard() { plan::SetPlanMode(previous_); }
-
- private:
-  plan::PlanMode previous_;
-};
 
 // Small random instances: two binary relations and a unary one, few nulls,
 // so every enumerator finishes in milliseconds.
@@ -227,44 +217,18 @@ auto AtWidth(std::size_t width, Body body) {
   return result;
 }
 
-// Whether the poly path's (ρ, σ) points are fewer than the k^m valuations.
-bool PolyBeatsEnumeration(const Query& query, const Database& db,
-                          const Tuple& tuple, std::size_t k) {
-  SupportInstance instance = MakeSupportInstance(query, db, tuple);
-  const unsigned m = static_cast<unsigned>(instance.nulls.size());
-  return PartitionPointCount(m, instance.prefix.size()) <
-         BigInt::Pow(BigInt(static_cast<std::int64_t>(k)), m);
-}
-
-// The k a muk probe runs at: a = |C ∪ Const(D)| and a + 1, both sides of
-// the crossover where the (ρ, σ) points first fall below k^m, and 48 when
-// 48^m stays small enough to enumerate in the oracle.
-std::vector<std::size_t> MukProbeKs(const Query& query, const Database& db,
-                                    const Tuple& tuple) {
-  SupportInstance instance = MakeSupportInstance(query, db, tuple);
-  const std::size_t a = std::max<std::size_t>(instance.prefix.size(), 1);
-  std::set<std::size_t> ks = {a, a + 1};
-  if (!instance.nulls.empty()) {
-    std::size_t cross = a;
-    while (!PolyBeatsEnumeration(query, db, tuple, cross)) ++cross;
-    ks.insert({cross - 1, cross, cross + 1});
-  }
-  if (instance.nulls.size() <= 2) ks.insert(48);
-  std::vector<std::size_t> result;
-  for (std::size_t k : ks) {
-    if (k >= a) result.push_back(k);
-  }
-  return result;
-}
-
 // ExactMuK equals MuK byte for byte in both plan modes at widths 1, 2, 4
-// and 8, and takes the poly path exactly when the choice rule says so
-// (never under the oracle gate).
+// and 8, at k = a = |C ∪ Const(D)|, a + 1, a + 3, and 48 when 48^m stays
+// small enough to enumerate in the oracle. The poly path runs in compiled
+// mode, the enumerator under the oracle gate.
 void ExpectMuKMatches(const Query& query, const Database& db,
                       const Tuple& tuple) {
-  for (std::size_t k : MukProbeKs(query, db, tuple)) {
+  SupportInstance instance = MakeSupportInstance(query, db, tuple);
+  const std::size_t a = std::max<std::size_t>(instance.prefix.size(), 1);
+  std::vector<std::size_t> ks = {a, a + 1, a + 3};
+  if (instance.nulls.size() <= 2 && a + 3 < 48) ks.push_back(48);
+  for (std::size_t k : ks) {
     const std::string expected = MuK(query, db, tuple, k).ToString();
-    const bool poly = PolyBeatsEnumeration(query, db, tuple, k);
     for (plan::PlanMode mode :
          {plan::PlanMode::kCompiled, plan::PlanMode::kInterpret}) {
       PlanModeGuard guard(mode);
@@ -276,7 +240,7 @@ void ExpectMuKMatches(const Query& query, const Database& db,
         EXPECT_EQ(mu->ToString(), expected)
             << query.ToString() << " at " << tuple.ToString() << ", k = " << k
             << ", width " << width << "\n" << db.ToString();
-        EXPECT_EQ(used, mode == plan::PlanMode::kCompiled && poly
+        EXPECT_EQ(used, mode == plan::PlanMode::kCompiled
                             ? ExactAlgorithm::kPoly
                             : ExactAlgorithm::kEnumerator)
             << query.ToString() << ", k = " << k;
@@ -311,6 +275,44 @@ TEST(MuKPlanDiffParallelTest, ExactMuKMatchesMuKInBothModesAtEveryWidth) {
   ExpectMuKMatches(with_null, db, Tuple{Value::Constant("c1")});
   ExpectMuKMatches(Q("Q(x) := exists y . R(x, y)"), db,
                    Tuple{Value::Null("not_in_db")});
+}
+
+// The partition pass calls the instance's witness from several pool
+// workers at once for every caller, not only for `muk` and `poly`: the
+// datalog witness (a bottom-up run on each worker's valuation image) and
+// cond's Σ and Σ ∧ Q witnesses must give byte-identical polynomials at
+// widths 1 and 4.
+TEST(PartitionPassParallelTest, DatalogAndCondWitnessesMatchAcrossWidths) {
+  Database db = Db("E(2) = { (c1, _1), (_1, _2), (_2, c2), (_3, _4), "
+                   "(c2, _3), (_4, c1) } U(1) = { (c1), (_2) }");
+  StatusOr<DatalogProgram> program = ParseDatalogProgram(
+      "T(X, Y) :- E(X, Y). T(X, Z) :- E(X, Y), T(Y, Z). ?- T");
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  const Tuple pair{Value::Constant("c1"), Value::Constant("c2")};
+  auto datalog = [&] {
+    return ComputeGenericSupportPolynomial(
+               MakeDatalogInstance(*program, db, pair), db)
+               .count.ToString() +
+           " mu = " + DatalogMuViaPolynomial(*program, db, pair).ToString();
+  };
+  const ConstraintSet sigma = {
+      std::make_shared<FunctionalDependency>("E", 2,
+                                             std::vector<std::size_t>{0}, 1),
+      std::make_shared<InclusionDependency>("U", 1,
+                                            std::vector<std::size_t>{0}, "E",
+                                            2, std::vector<std::size_t>{0})};
+  const Query query = Q("Q(x) := exists y . E(x, y) & !E(y, x)");
+  auto cond = [&] {
+    ConditionalMeasure measure =
+        ComputeConditionalMu(query, sigma, db, Tuple{Value::Constant("c1")});
+    return measure.numerator.ToString() + " / " +
+           measure.denominator.ToString() + " mu = " +
+           measure.value.ToString();
+  };
+  const std::string datalog_serial = AtWidth(1, datalog);
+  const std::string cond_serial = AtWidth(1, cond);
+  EXPECT_EQ(AtWidth(4, datalog), datalog_serial);
+  EXPECT_EQ(AtWidth(4, cond), cond_serial);
 }
 
 TEST(ExactPlanTest, MukBelowThePrefixIsRefused) {
@@ -581,8 +583,6 @@ TEST(ExactPlanTest, ServedExplainAppendsTheExactLine) {
       {Req("compare", "(c1) (_1)"), "exact: ucq (Theorem 8)\n"},
       // R[1] ⊆ R[0] fails naïvely on ⊥1.
       {Req("cond", "(c1)"), "exact: enumerator (no theorem applies)\n"},
-      // One null, two constants: 3 (ρ, σ) points against k valuations.
-      {Req("muk", "3 (c1)"), "exact: enumerator (no theorem applies)\n"},
       {Req("muk", "4 (c1)"), "exact: poly (Theorem 3)\n"},
   };
   for (auto [request, line] : cases) {
@@ -649,8 +649,8 @@ TEST(ExactPlanTest, CountersRecordEachChoice) {
   EXPECT_EQ(count("enumerator") - enumerator, 1u);
 }
 
-// The closed form is the length of the partition pass, and the poly path
-// counts (ρ, σ) points, never valuations.
+// The partition pass visits Σ_t S(m,t)·Σ_j C(t,j)·(a)_j (ρ, σ) points,
+// and the poly path counts those points, never valuations.
 TEST(ExactPlanTest, PolyMukCountsPartitionPointsNotValuations) {
   obs::Registry& registry = obs::Registry::Global();
   obs::Counter& maps =
@@ -660,20 +660,17 @@ TEST(ExactPlanTest, PolyMukCountsPartitionPointsNotValuations) {
   obs::Counter& poly = registry.GetCounter("core.exact.poly");
   PlanModeGuard mode(plan::PlanMode::kCompiled);
   const Query query = Q("Q(x) := exists y . R(x, y) & !R(y, x)");
-  for (const char* text :
-       {"R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4) }",
-        "R(2) = { (c1, _1), (_2, _3), (c2, c1) }", "R(2) = { (c1, c2) }"}) {
+  const Tuple c1{Value::Constant("c1")};
+  // (m, a) = (4, 4), (3, 2) and (0, 2).
+  const std::pair<const char*, std::uint64_t> cases[] = {
+      {"R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4) }", 799},
+      {"R(2) = { (c1, _1), (_2, _3), (c2, c1) }", 37},
+      {"R(2) = { (c1, c2) }", 1}};
+  for (const auto& [text, points] : cases) {
     Database db = Db(text);
-    const Tuple c1{Value::Constant("c1")};
-    SupportInstance instance = MakeSupportInstance(query, db, c1);
     std::uint64_t before = maps.value();
     ComputeSupportPolynomial(query, db, c1);
-    EXPECT_EQ(BigInt(static_cast<std::int64_t>(maps.value() - before)),
-              PartitionPointCount(instance.nulls.size(),
-                                  instance.prefix.size()))
-        << text;
-    // Four nulls and four constants: 799 points, against 12^4 valuations.
-    if (instance.nulls.size() != 4) continue;
+    EXPECT_EQ(maps.value() - before, points) << text;
     before = maps.value();
     const std::uint64_t valuations_before = valuations.value();
     const std::uint64_t poly_before = poly.value();
@@ -681,8 +678,8 @@ TEST(ExactPlanTest, PolyMukCountsPartitionPointsNotValuations) {
     ASSERT_TRUE(ExactMuK(query, db, c1, 12, &used).ok());
     EXPECT_EQ(used, ExactAlgorithm::kPoly);
     EXPECT_EQ(poly.value() - poly_before, 1u);
-    EXPECT_EQ(maps.value() - before, 799u);
-    EXPECT_EQ(valuations.value(), valuations_before);
+    EXPECT_EQ(maps.value() - before, points) << text;
+    EXPECT_EQ(valuations.value(), valuations_before) << text;
   }
 }
 #endif

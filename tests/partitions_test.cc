@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -109,23 +108,6 @@ TEST(PartitionsTest, InjectivePartialMapCount) {
       EXPECT_EQ(distinct.size(), count);
     }
   }
-}
-
-TEST(PartitionPointCountTest, MatchesTheEnumeration) {
-  for (std::size_t n = 0; n <= 5; ++n) {
-    for (std::size_t r = 0; r <= 4; ++r) {
-      std::int64_t points = 0;
-      ForEachSetPartition(n, [&](const SetPartition& p) {
-        ForEachInjectivePartialMap(
-            p.block_count, r,
-            [&](const std::vector<std::size_t>&) { ++points; });
-      });
-      EXPECT_EQ(PartitionPointCount(n, r), BigInt(points)) << n << " " << r;
-    }
-  }
-  // The two shapes of the measure_exact serving workload.
-  EXPECT_EQ(PartitionPointCount(4, 5), BigInt(1540));
-  EXPECT_EQ(PartitionPointCount(3, 10), BigInt(1365));
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "plan/mode.h"
+#include "plan_mode_guard.h"
 #include "svc/cache.h"
 #include "svc/client.h"
 #include "svc/dispatch.h"
@@ -407,18 +408,6 @@ TEST(DispatcherTest, EnumeratorCertainMintsConstantsOncePerRequest) {
   EXPECT_EQ(fresh.value() - before, 4u);
 }
 #endif
-
-// Restores the plan mode a test pinned.
-class PlanModeGuard {
- public:
-  explicit PlanModeGuard(plan::PlanMode mode) : previous_(plan::plan_mode()) {
-    plan::SetPlanMode(mode);
-  }
-  ~PlanModeGuard() { plan::SetPlanMode(previous_); }
-
- private:
-  plan::PlanMode previous_;
-};
 
 #if ZEROONE_OBS_ENABLED
 TEST(DispatcherTest, PolynomialMukMintsOneConstantPerNull) {
