@@ -6,7 +6,7 @@
 // The measure/support machinery is exponential in the number of nulls, so a
 // serving layer needs a way to abandon a computation whose deadline has
 // passed without killing the process. The library does not use exceptions;
-// instead, the enumeration loops (ForEachPoint, ForEachSetPartition,
+// instead, the enumeration loops (ForEachPoint, ForEachOrbitPoint,
 // the datalog fixpoint, the chase) poll the *current* CancelToken — a
 // thread-local pointer installed by ScopedCancelToken — and bail out early
 // when it reports cancellation. A cancelled computation returns garbage or

@@ -1,84 +1,9 @@
 #include "common/partitions.h"
 
 #include <algorithm>
-#include <cassert>
-
-#include "common/cancel.h"
+#include <vector>
 
 namespace zeroone {
-
-std::vector<std::vector<std::size_t>> SetPartition::Blocks() const {
-  std::vector<std::vector<std::size_t>> result(block_count);
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    result[blocks[i]].push_back(i);
-  }
-  return result;
-}
-
-namespace {
-
-// Recursive restricted-growth-string enumeration. Returns false when a
-// cancellation request stopped the enumeration early (partial visit).
-bool EnumeratePartitions(std::size_t position, std::size_t used_blocks,
-                         SetPartition* partition,
-                         const std::function<void(const SetPartition&)>& visitor) {
-  if (position == partition->blocks.size()) {
-    if (CancellationRequested()) return false;
-    partition->block_count = used_blocks;
-    visitor(*partition);
-    return true;
-  }
-  for (std::size_t b = 0; b <= used_blocks; ++b) {
-    partition->blocks[position] = b;
-    if (!EnumeratePartitions(position + 1, std::max(used_blocks, b + 1),
-                             partition, visitor)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool EnumerateInjectiveMaps(
-    std::size_t position, std::size_t range, std::vector<bool>* taken,
-    std::vector<std::size_t>* map,
-    const std::function<void(const std::vector<std::size_t>&)>& visitor) {
-  if (position == map->size()) {
-    if (CancellationRequested()) return false;
-    visitor(*map);
-    return true;
-  }
-  // Leave `position` unassigned.
-  (*map)[position] = kUnassigned;
-  if (!EnumerateInjectiveMaps(position + 1, range, taken, map, visitor)) {
-    return false;
-  }
-  // Or map it to each still-free target.
-  for (std::size_t target = 0; target < range; ++target) {
-    if ((*taken)[target]) continue;
-    (*taken)[target] = true;
-    (*map)[position] = target;
-    bool keep_going =
-        EnumerateInjectiveMaps(position + 1, range, taken, map, visitor);
-    (*taken)[target] = false;
-    if (!keep_going) return false;
-  }
-  (*map)[position] = kUnassigned;
-  return true;
-}
-
-}  // namespace
-
-void ForEachSetPartition(
-    std::size_t n, const std::function<void(const SetPartition&)>& visitor) {
-  SetPartition partition;
-  partition.blocks.assign(n, 0);
-  if (n == 0) {
-    partition.block_count = 0;
-    visitor(partition);
-    return;
-  }
-  EnumeratePartitions(0, 0, &partition, visitor);
-}
 
 BigInt BellNumber(std::size_t n) {
   // Bell triangle: row 0 is [1]; each row starts with the previous row's
@@ -111,18 +36,6 @@ BigInt StirlingSecond(std::size_t n, std::size_t t) {
     row[0] = BigInt(0);  // S(i, 0) == 0 for i >= 1.
   }
   return row[t];
-}
-
-void ForEachInjectivePartialMap(
-    std::size_t domain, std::size_t range,
-    const std::function<void(const std::vector<std::size_t>&)>& visitor) {
-  std::vector<std::size_t> map(domain, kUnassigned);
-  std::vector<bool> taken(range, false);
-  if (domain == 0) {
-    visitor(map);
-    return;
-  }
-  EnumerateInjectiveMaps(0, range, &taken, &map, visitor);
 }
 
 }  // namespace zeroone

@@ -2,32 +2,15 @@
 #define ZEROONE_COMMON_PARTITIONS_H_
 
 #include <cstddef>
-#include <functional>
-#include <vector>
 
 #include "common/bigint.h"
 
 namespace zeroone {
 
-// A set partition of {0, …, n−1} in restricted-growth-string form:
-// blocks[i] is the block index of element i, with blocks numbered in order
-// of first appearance (blocks[0] == 0, and blocks[i] <= 1 + max of prefix).
-// Partitions of the nulls of a database are the backbone of the
-// partition-polynomial algorithm (proof of Theorem 3): a valuation's kernel
-// is exactly such a partition.
-struct SetPartition {
-  std::vector<std::size_t> blocks;  // Restricted growth string.
-  std::size_t block_count = 0;
-
-  // Elements of each block, grouped: result[b] lists the members of block b.
-  std::vector<std::vector<std::size_t>> Blocks() const;
-};
-
-// Invokes visitor for every set partition of {0, …, n−1}. The number of
-// partitions is the Bell number B(n); n == 0 yields the single empty
-// partition. The visited object is reused between calls — copy it if kept.
-void ForEachSetPartition(std::size_t n,
-                         const std::function<void(const SetPartition&)>& visitor);
+// Counting functions of the partition-polynomial algorithm (proof of
+// Theorem 3): a valuation's kernel is a set partition of the nulls, and
+// ForEachOrbitPoint (core/valuation_engine.h) walks those partitions with
+// the maps of their blocks into the constants A.
 
 // The Bell number B(n): how many set partitions {0,…,n−1} has. Computed via
 // the Bell triangle with exact arithmetic.
@@ -36,16 +19,6 @@ BigInt BellNumber(std::size_t n);
 // The Stirling number of the second kind S(n, t): partitions of an n-set
 // into exactly t nonempty blocks.
 BigInt StirlingSecond(std::size_t n, std::size_t t);
-
-// Invokes visitor for every injective partial map from {0,…,domain−1} into
-// {0,…,range−1}. The map is passed as a vector m of length `domain` where
-// m[i] == kUnassigned means i is outside the map's domain. Used to enumerate
-// the assignments of partition blocks to the "special" constants A in the
-// partition-polynomial algorithm. The visited vector is reused between calls.
-inline constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
-void ForEachInjectivePartialMap(
-    std::size_t domain, std::size_t range,
-    const std::function<void(const std::vector<std::size_t>&)>& visitor);
 
 }  // namespace zeroone
 

@@ -8,47 +8,16 @@
 
 namespace zeroone {
 
-namespace {
-
-// The shared bounded valuation space for a set of tuples: nulls of D plus
-// any tuple nulls; range A ∪ A_m with A = C ∪ Const(D) ∪ tuple constants.
-struct ComparisonSpace {
-  std::vector<Value> nulls;
-  std::vector<Value> domain;
-};
-
-ComparisonSpace MakeComparisonSpace(const Query& query, const Database& db,
-                                    const std::vector<Tuple>& tuples) {
-  ComparisonSpace space;
-  space.nulls = db.Nulls();
-  std::vector<Value> prefix = query.GenericityConstants();
-  AppendUnique(&prefix, db.Constants());
-  for (const Tuple& t : tuples) {
-    AppendUnique(&space.nulls, t.Nulls());
-    for (Value v : t) {
-      if (v.is_constant()) AppendUnique(&prefix, {v});
-    }
-  }
-  space.domain =
-      MakeConstantEnumeration(prefix, prefix.size() + space.nulls.size());
-  return space;
-}
-
-}  // namespace
-
 bool Separates(const Query& query, const Database& db, const Tuple& a,
                const Tuple& b) {
   assert(a.arity() == query.arity() && b.arity() == query.arity());
-  ComparisonSpace space = MakeComparisonSpace(query, db, {a, b});
   QueryWitness witness(query, db);
-  ValuationImage image(db, space.nulls, EngineImageMode());
-  std::vector<Value> point(space.nulls.size());
   // Search for v ∈ Supp(a) − Supp(b); stop at the first.
-  return !ForEachPoint(&point, 0, space.domain, [&] {
-    image.Assign(point);
-    bool separating = witness(image, a) && !witness(image, b);
-    return !separating;  // Keep going while not separating.
-  });
+  return !ForEachBoundedPoint(
+      query, db, {a, b}, [&](const ValuationImage& image) {
+        bool separating = witness(image, a) && !witness(image, b);
+        return !separating;  // Keep going while not separating.
+      });
 }
 
 bool WeaklyDominated(const Query& query, const Database& db, const Tuple& a,
@@ -66,12 +35,8 @@ SupportTable ComputeSupportTable(const Query& query, const Database& db,
   SupportTable table;
   table.candidates = candidates;
   table.support.assign(candidates.size(), {});
-  ComparisonSpace space = MakeComparisonSpace(query, db, candidates);
   QueryWitness witness(query, db);
-  ValuationImage image(db, space.nulls, EngineImageMode());
-  std::vector<Value> point(space.nulls.size());
-  ForEachPoint(&point, 0, space.domain, [&] {
-    image.Assign(point);
+  ForEachBoundedPoint(query, db, candidates, [&](const ValuationImage& image) {
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       table.support[i].push_back(witness(image, candidates[i]));
     }

@@ -69,10 +69,11 @@ const char* ExactAlgorithmTheorem(ExactAlgorithm algorithm);
 constexpr std::size_t kMaxUcqDisjuncts = 64;
 
 // Largest k `muk` accepts. The poly path costs the same at every k, but the
-// oracle gate's enumerator visits k^m valuations and mints
-// k − |C ∪ Const(D)| enumeration constants that are never reclaimed, so an
-// unchecked k (a negative one reads as 2^64 − 1) would abort the process on
-// its first allocation.
+// oracle gate's enumerator visits k^m valuations and draws
+// k − |C ∪ Const(D)| enumeration constants (the process-wide pool grows to
+// the largest draw and is never reclaimed), so an unchecked k (a negative
+// one reads as 2^64 − 1) would abort the process on its first
+// allocation.
 constexpr std::uint64_t kMaxMukK = 4096;
 
 // The request's arguments: its tuples, each of the query's arity (one for

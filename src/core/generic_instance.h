@@ -56,14 +56,14 @@ Rational GenericMuK(const GenericInstance& instance, const Database& db,
 
 // |Supp^k| as a closed-form polynomial in k via the partition method
 // (see core/support_polynomial.h for the derivation); exact for
-// k ≥ |prefix|. Visits Σ_t S(m,t)·Σ_j C(t,j)·(a)_j (ρ, σ) points for m
-// nulls and a prefix constants (1 540 for m = 4, a = 5), sharded on at
-// most par::par_threads() pool workers with one valuation image per
-// worker, so the witness must be thread-safe (as for
-// CountGenericSupportParallel); the polynomial is byte-identical at every
-// width. Polls the CancelToken and the core.valuation.cancel fault site per
-// point; a cancelled pass returns a partial polynomial the token's
-// installer discards.
+// k ≥ |prefix|. Walks the Σ_t S(m,t)·Σ_j C(t,j)·(a)_j (ρ, σ) orbit points
+// of ForEachOrbitPoint for m nulls and a prefix constants (1 540 for
+// m = 4, a = 5), sharded on at most par::par_threads() pool workers with
+// one valuation image per worker, so the witness must be thread-safe (as
+// for CountGenericSupportParallel); the polynomial is byte-identical at
+// every width. The walk polls the CancelToken and the
+// core.valuation.cancel fault site per point; a cancelled pass returns a
+// partial polynomial the token's installer discards.
 struct GenericSupportPolynomial {
   Polynomial count;
   std::size_t valid_from;

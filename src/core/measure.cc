@@ -35,33 +35,22 @@ namespace {
 
 // Decides every candidate by the bounded search that is complete for
 // certainty and possibility: valuations of Null(D) ∪ the candidates' nulls
-// ∪ Q's nulls into A = C ∪ Const(D) extended with one fresh constant per
-// null (genericity; the argument of Theorem 8's proof). One pass over that
-// space serves all candidates, so each v(D) is built once and the fresh
-// constants are minted once. A candidate drops out at its first deciding
-// point — a falsifying one when `certain`, a witnessing one otherwise — so
-// it runs exactly the membership checks its own search would. Returns, per
-// candidate, whether such a point exists.
+// ∪ Q's nulls into A ∪ A_m, where A = C ∪ Const(D) ∪ the candidates'
+// constants and A_m holds one enumeration constant per null (genericity;
+// the argument of Theorem 8's proof), one point per orbit under the
+// permutations fixing A (ForEachBoundedPoint). One walk serves all
+// candidates, so each v(D) is built once. A candidate drops out at its
+// first deciding point — a falsifying one when `certain`, a witnessing one
+// otherwise — so it runs exactly the membership checks its own search
+// would. Returns, per candidate, whether such a point exists.
 std::vector<bool> FindDecidingPoints(const Query& query, const Database& db,
                                      const std::vector<Tuple>& candidates,
                                      bool certain) {
   std::vector<bool> decided(candidates.size(), false);
   if (candidates.empty()) return decided;
-  std::vector<Value> nulls = db.Nulls();
-  for (const Tuple& candidate : candidates) {
-    AppendUnique(&nulls, candidate.Nulls());
-  }
-  AppendUnique(&nulls, query.formula()->MentionedNulls());
-  std::vector<Value> prefix = query.GenericityConstants();
-  AppendUnique(&prefix, db.Constants());
-  std::vector<Value> domain =
-      MakeConstantEnumeration(prefix, prefix.size() + nulls.size());
   QueryWitness witness(query, db);
-  ValuationImage image(db, nulls, EngineImageMode());
-  std::vector<Value> point(nulls.size());
   std::size_t open = candidates.size();
-  ForEachPoint(&point, 0, domain, [&] {
-    image.Assign(point);
+  ForEachBoundedPoint(query, db, candidates, [&](const ValuationImage& image) {
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       if (decided[i]) continue;
       if (witness(image, candidates[i]) != certain) {

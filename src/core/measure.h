@@ -33,10 +33,15 @@ std::vector<Tuple> AlmostCertainAnswers(const Query& query,
                                         const Database& db);
 
 // Certain answers with nulls (Section 2): ā with v(ā) ∈ Q(v(D)) for *every*
-// valuation v. Decided exactly by checking all valuations with range in
-// Const(D) ∪ C ∪ {m fresh constants}; genericity makes this restriction
-// complete (the same argument as in the proof of Theorem 8 applies to any
-// generic query and to violations). Exponential in the number of nulls.
+// valuation v. Decided exactly over the valuations of the m relevant nulls
+// (of D, ā and Q) with range in A ∪ A_m, where A = C ∪ Const(D) ∪ the
+// constants of ā and A_m holds m enumeration constants; genericity makes
+// this restriction complete (the same argument as in the proof of
+// Theorem 8 applies to any generic query and to violations). Genericity
+// also makes membership constant on each orbit of that range under the
+// permutations fixing A, so the search visits one point per orbit
+// (ForEachBoundedPoint: Σ_t S(m,t)·Σ_j C(t,j)·(a)_j points rather than
+// (a+m)^m), and every point under the oracle gate. Exponential in m.
 bool IsCertainAnswer(const Query& query, const Database& db,
                      const Tuple& tuple);
 
@@ -45,7 +50,7 @@ bool IsCertainAnswer(const Query& query, const Database& db,
 std::vector<Tuple> CertainAnswers(const Query& query, const Database& db);
 
 // ā is a possible answer: Supp(Q,D,ā) ≠ ∅, decided with the same bounded
-// range.
+// search (one point per orbit of A ∪ A_m).
 bool IsPossibleAnswer(const Query& query, const Database& db,
                       const Tuple& tuple);
 

@@ -100,11 +100,8 @@ StatusOr<Rational> PreferenceMuLimit(
   SupportInstance instance = MakeSupportInstance(query, db, tuple);
   StatusOr<AlignedPreferences> aligned = Align(instance, prefs);
   if (!aligned.ok()) return aligned.status();
-  std::vector<Value> fresh;
-  fresh.reserve(instance.nulls.size());
-  for (std::size_t i = 0; i < instance.nulls.size(); ++i) {
-    fresh.push_back(Value::FreshConstant());
-  }
+  std::vector<Value> fresh =
+      Value::EnumerationConstants(instance.nulls.size(), instance.prefix);
   LimitSearch search{instance,
                      *aligned,
                      fresh,

@@ -100,17 +100,15 @@ BijectiveSupportCount CountBijectiveSupport(const SupportInstance& instance,
 
 namespace {
 
-// The distinct outcomes v(D) over V^k(D), all and witnessed, each mapped
-// through `outcome` first (the identity for m^k, the isomorphism type for
-// ν^k); the ratio of their counts.
+// The distinct outcomes v(D) over the valuations of the instance's nulls
+// into `domain` (V^k(D) for a k-constant enumeration), all and witnessed,
+// each mapped through `outcome` first (the identity for m^k, the
+// isomorphism type for ν^k); the ratio of their counts.
 Rational OutcomeRatio(
-    const Query& query, const Database& db, const Tuple& tuple, std::size_t k,
+    const SupportInstance& instance, const Database& db,
+    const std::vector<Value>& domain,
     const std::function<Database(const Database&)>& outcome) {
-  SupportInstance instance = MakeSupportInstance(query, db, tuple);
-  assert(k >= instance.prefix.size() &&
-         "k must cover the enumeration prefix C ∪ Const(D)");
-  std::vector<Value> domain = MakeConstantEnumeration(instance.prefix, k);
-  QueryWitness witness(query, db);
+  QueryWitness witness(instance.query, db);
   ValuationImage image(db, instance.nulls, EngineImageMode());
   std::vector<Value> point(instance.nulls.size());
   std::set<Database> all_outcomes;
@@ -135,7 +133,11 @@ Rational OutcomeRatio(
 Rational MK(const Query& query, const Database& db, const Tuple& tuple,
             std::size_t k) {
   ZO_TRACE_SPAN("MK");
-  return OutcomeRatio(query, db, tuple, k,
+  SupportInstance instance = MakeSupportInstance(query, db, tuple);
+  assert(k >= instance.prefix.size() &&
+         "k must cover the enumeration prefix C ∪ Const(D)");
+  return OutcomeRatio(instance, db,
+                      MakeConstantEnumeration(instance.prefix, k),
                       [](const Database& valuated) { return valuated; });
 }
 
@@ -200,13 +202,18 @@ Rational NuK(const Query& query, const Database& db, const Tuple& tuple,
              std::size_t k) {
   ZO_TRACE_SPAN("NuK");
   SupportInstance instance = MakeSupportInstance(query, db, tuple);
+  assert(k >= instance.prefix.size() &&
+         "k must cover the enumeration prefix C ∪ Const(D)");
   std::set<Value> a_set(instance.prefix.begin(), instance.prefix.end());
-  // Canonical slots: fresh constants, shared across all outcomes.
-  std::vector<Value> slots;
-  for (std::size_t i = 0; i < instance.nulls.size(); ++i) {
-    slots.push_back(Value::FreshConstant());
-  }
-  return OutcomeRatio(query, db, tuple, k, [&](const Database& valuated) {
+  // One draw of enumeration constants outside A: canonical slots, shared
+  // across all outcomes, then the rest of the k-constant enumeration.
+  const std::size_t m = instance.nulls.size();
+  std::vector<Value> drawn = Value::EnumerationConstants(
+      m + k - instance.prefix.size(), instance.prefix);
+  std::vector<Value> slots(drawn.begin(), drawn.begin() + m);
+  std::vector<Value> domain = instance.prefix;
+  domain.insert(domain.end(), drawn.begin() + m, drawn.end());
+  return OutcomeRatio(instance, db, domain, [&](const Database& valuated) {
     return CanonicalType(valuated, a_set, slots);
   });
 }

@@ -120,15 +120,14 @@ Unifier::Item TermItem(const Term& term) {
 }
 
 // Shared context for the Sep checks of one call: the UCQ is normalized
-// once and the fresh constants minted once, however many tuple pairs the
-// call checks. Fresh constants are interned for the life of the process,
-// so minting them per pair would grow the intern table with every pair.
+// once and the enumeration constants drawn once, however many tuple pairs
+// the call checks.
 struct SeparationContext {
   const Database* db;
   UcqNormalForm ucq;
   std::vector<std::size_t> free_variables;
   std::size_t arity;
-  std::vector<Value> fresh_pool;  // Fresh constants for free null classes.
+  std::vector<Value> fresh_pool;  // Constants for free null classes.
   // v′(D) at the search leaves, over Null(D); nulls v′ leaves unbound map
   // to themselves. Working state, moved from leaf to leaf.
   std::unique_ptr<ValuationImage> image;
@@ -226,10 +225,8 @@ StatusOr<SeparationContext> MakeContext(const Query& query, const Database& db,
   context.free_variables = query.free_variables();
   context.arity = query.arity();
   // Upper bound on free null classes: nulls of D plus nulls of ā.
-  std::size_t pool_size = db.Nulls().size() + max_tuple_nulls;
-  for (std::size_t i = 0; i < pool_size; ++i) {
-    context.fresh_pool.push_back(Value::FreshConstant());
-  }
+  context.fresh_pool = Value::EnumerationConstants(
+      db.Nulls().size() + max_tuple_nulls, db.Constants());
   context.image =
       std::make_unique<ValuationImage>(db, db.Nulls(), EngineImageMode());
   return context;

@@ -41,6 +41,15 @@ class InternTable {
     }
   }
 
+  // Appends a name that Intern never maps to: the id is one that
+  // Intern(name) can never return.
+  std::uint32_t AddUninterned(std::string name) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::uint32_t id = static_cast<std::uint32_t>(names_.size());
+    names_.push_back(std::move(name));
+    return id;
+  }
+
   const std::string& Name(std::uint32_t id) const {
     std::lock_guard<std::mutex> lock(mutex_);
     assert(id < names_.size());
@@ -89,6 +98,27 @@ Value Value::FreshConstant() {
   return Value(Kind::kConstant, ConstantTable().InternFresh("@"));
 }
 
+std::vector<Value> Value::EnumerationConstants(
+    std::size_t n, const std::vector<Value>& avoid) {
+  // The pool in draw order. It grows only past the largest draw so far.
+  static std::mutex& mutex = *new std::mutex();
+  static std::vector<Value>& pool = *new std::vector<Value>();
+  std::vector<Value> drawn;
+  drawn.reserve(n);
+  std::lock_guard<std::mutex> lock(mutex);
+  for (std::size_t i = 0; drawn.size() < n; ++i) {
+    if (i == pool.size()) {
+      ZO_COUNTER_INC("data.fresh_constants");
+      pool.push_back(Value(Kind::kConstant, ConstantTable().AddUninterned(
+                                                "@" + std::to_string(i))));
+    }
+    if (std::find(avoid.begin(), avoid.end(), pool[i]) == avoid.end()) {
+      drawn.push_back(pool[i]);
+    }
+  }
+  return drawn;
+}
+
 const std::string& Value::name() const {
   return kind_ == Kind::kConstant ? ConstantTable().Name(id_)
                                   : NullTable().Name(id_);
@@ -128,9 +158,9 @@ std::vector<Value> MakeConstantEnumeration(const std::vector<Value>& required,
   }
   assert(enumeration.size() <= k &&
          "k must be at least the number of required constants");
-  while (enumeration.size() < k) {
-    enumeration.push_back(Value::FreshConstant());
-  }
+  std::vector<Value> extension =
+      Value::EnumerationConstants(k - enumeration.size(), enumeration);
+  enumeration.insert(enumeration.end(), extension.begin(), extension.end());
   return enumeration;
 }
 

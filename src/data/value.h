@@ -32,9 +32,19 @@ class Value {
   static Value Null(std::string_view label);
   // A null with a globally fresh, never previously used label.
   static Value FreshNull();
-  // A constant with a globally fresh name (used to extend enumerations of
-  // Const and to implement bijective valuations).
+  // A constant with a globally fresh name (used to implement bijective
+  // valuations). Each one stays interned for the life of the process.
   static Value FreshConstant();
+  // The first n enumeration constants outside `avoid`, from one
+  // process-wide pool. Enumeration constants are constants that no name
+  // can intern (Constant(name) never returns one), so they lie outside
+  // C ∪ Const(D) of every parsed query and loaded database by
+  // construction, and every enumeration reuses the same few: the pool
+  // grows only to the largest draw. A caller that needs two disjoint sets
+  // takes both from one draw. They print as "@<n>" but must never reach a
+  // payload: only valuations of an enumeration take them as values.
+  static std::vector<Value> EnumerationConstants(
+      std::size_t n, const std::vector<Value>& avoid = {});
 
   Kind kind() const { return kind_; }
   bool is_constant() const { return kind_ == Kind::kConstant; }
@@ -74,7 +84,7 @@ void AppendUnique(std::vector<Value>* out, const std::vector<Value>& values);
 
 // Builds an enumeration c₁, …, c_k of k distinct constants whose prefix is
 // the given `required` constants (deduplicated, order preserved), extended
-// with globally fresh constants. This realizes the paper's convention that
+// with enumeration constants (Value::EnumerationConstants). This realizes the paper's convention that
 // the enumeration of Const is irrelevant once {c₁,…,c_k} ⊇ C ∪ Const(D):
 // measures are computed over exactly such enumerations.
 // Precondition: k >= number of distinct required constants.

@@ -8,6 +8,8 @@
 #include "core/support.h"
 #include "data/io.h"
 #include "gen/scenarios.h"
+#include "plan/mode.h"
+#include "plan_mode_guard.h"
 #include "query/parser.h"
 
 namespace zeroone {
@@ -154,6 +156,29 @@ TEST(ComparisonTest, SupportTableCountsValuations) {
   // The tuple is certain: all valuations witness.
   EXPECT_EQ(std::count(table.support[0].begin(), table.support[0].end(), true),
             static_cast<std::ptrdiff_t>(table.valuation_count));
+}
+
+// The bounded search ranges over the nulls the formula mentions too: with
+// Q(x) := R(x, ⊥9) and D = {R(c1, c2)}, v(⊥9) = c2 witnesses (c1) and not
+// (c3), which a search that leaves ⊥9 alone never sees. In both plan modes
+// (orbit walk and odometer).
+TEST(ComparisonTest, FormulaNullIsInTheRange) {
+  Database db = Db("R(2) = { (c1, c2) }");
+  Query q("Q", {0},
+          Formula::Atom("R", {Term::Variable(0), Term::Val(Value::Null("9"))}),
+          {"x"});
+  const Tuple c1{Value::Constant("c1")};
+  const Tuple c3{Value::Constant("c3")};
+  for (plan::PlanMode mode :
+       {plan::PlanMode::kCompiled, plan::PlanMode::kInterpret}) {
+    PlanModeGuard guard(mode);
+    EXPECT_TRUE(Separates(q, db, c1, c3));
+    EXPECT_FALSE(Separates(q, db, c3, c1));
+    SupportTable table = ComputeSupportTable(q, db, {c1, c3});
+    EXPECT_EQ(std::count(table.support[0].begin(), table.support[0].end(),
+                         true),
+              1);
+  }
 }
 
 TEST(ComparisonTest, BooleanQueryComparison) {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -275,6 +276,113 @@ TEST(MuKPlanDiffParallelTest, ExactMuKMatchesMuKInBothModesAtEveryWidth) {
   ExpectMuKMatches(with_null, db, Tuple{Value::Constant("c1")});
   ExpectMuKMatches(Q("Q(x) := exists y . R(x, y)"), db,
                    Tuple{Value::Null("not_in_db")});
+}
+
+// Everything the bounded searches decide for (Q, D) and the probes, as
+// one string: certain and possible answers, both decisions per probe, Best
+// and Best_µ, Sep both ways on neighbouring probes, the dominance order of
+// the support table over the probes (row i, column j reads 1 iff
+// Supp(probe i) ⊆ Supp(probe j)), and the set of the table's distinct
+// columns. The table's columns are the walk's points, which differ between
+// the walks, but each valuation's column is that of its orbit's point, so
+// neither the order nor the set of distinct columns may differ.
+std::string BoundedSearchDecisions(const Query& query, const Database& db,
+                                   const std::vector<Tuple>& probes) {
+  auto show = [](const std::vector<Tuple>& tuples) {
+    std::string text;
+    for (const Tuple& t : tuples) text += t.ToString() + " ";
+    return text + "\n";
+  };
+  std::string out = "certain " + show(CertainAnswers(query, db)) +
+                    "possible " + show(PossibleAnswers(query, db)) +
+                    "best " + show(BestAnswers(query, db)) + "bestmu " +
+                    show(BestMuAnswers(query, db));
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const Tuple& a = probes[i];
+    const Tuple& b = probes[(i + 1) % probes.size()];
+    out += a.ToString() + " possible " +
+           std::to_string(IsPossibleAnswer(query, db, a)) + " certain " +
+           std::to_string(IsCertainAnswer(query, db, a)) + " sep " +
+           std::to_string(Separates(query, db, a, b)) +
+           std::to_string(Separates(query, db, b, a)) + "\n";
+  }
+  SupportTable table = ComputeSupportTable(query, db, probes);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    for (std::size_t j = 0; j < probes.size(); ++j) {
+      bool subset = true;
+      for (std::size_t v = 0; v < table.valuation_count && subset; ++v) {
+        subset = !table.support[i][v] || table.support[j][v];
+      }
+      out += subset ? '1' : '0';
+    }
+    out += '\n';
+  }
+  std::set<std::string> columns;
+  for (std::size_t v = 0; v < table.valuation_count; ++v) {
+    std::string column;
+    for (const std::vector<bool>& row : table.support) {
+      column += row[v] ? '1' : '0';
+    }
+    columns.insert(column);
+  }
+  for (const std::string& column : columns) out += column + " ";
+  return out;
+}
+
+// The orbit walk decides every bounded search exactly as the odometer over
+// the whole range does: compiled mode (one point per orbit) against the
+// oracle gate (every point of (A ∪ A_m)^m), on random unary and Boolean
+// queries with negation, a formula that mentions a null, a tuple null
+// outside Null(D), a tuple constant outside D, and a database without
+// constants, where only distinct free blocks decide. The partition pass on
+// the same walk gives byte-identical polynomials at widths 1 and 4.
+TEST(OrbitPlanDiffParallelTest, BoundedSearchesMatchTheOdometer) {
+  auto expect_match = [](const Query& query, const Database& db,
+                         std::vector<Tuple> probes) {
+    if (query.arity() == 1) probes.push_back(Tuple{Value::Null("not_in_db")});
+    std::string orbits, odometer;
+    {
+      PlanModeGuard guard(plan::PlanMode::kCompiled);
+      orbits = BoundedSearchDecisions(query, db, probes);
+    }
+    {
+      PlanModeGuard guard(plan::PlanMode::kInterpret);
+      odometer = BoundedSearchDecisions(query, db, probes);
+    }
+    EXPECT_EQ(orbits, odometer) << query.ToString() << "\n" << db.ToString();
+    PlanModeGuard guard(plan::PlanMode::kCompiled);
+    for (const Tuple& probe : {probes.front(), probes.back()}) {
+      auto poly = [&] {
+        return ComputeSupportPolynomial(query, db, probe).count.ToString();
+      };
+      const std::string serial = AtWidth(1, poly);
+      EXPECT_EQ(AtWidth(4, poly), serial)
+          << query.ToString() << " at " << probe.ToString();
+    }
+  };
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    Database db = RandomDb(7600 + i, /*nulls=*/3);
+    for (std::size_t free : {0u, 1u}) {
+      Query query = GenerateRandomFo(QueryOptions(7700 + i * 2 + free, free),
+                                     /*negation_probability=*/0.4);
+      expect_match(query, db, ProbesFor(query, db));
+    }
+  }
+  Database db = Db("R(2) = { (c1, _1), (_1, c2), (c2, c3), (_2, _3) }");
+  expect_match(Q("Q(x) := exists y . R(x, y) & !R(y, x)"), db,
+               UnaryProbes(db));
+  expect_match(Q("Q() := exists x . R(x, x) | !R(c2, c3)"), db, {Tuple{}});
+  Query with_null("Q", {0},
+                  Formula::Atom("R", {Term::Variable(0),
+                                      Term::Val(Value::Null("2"))}),
+                  {"x"});
+  expect_match(with_null, db, UnaryProbes(db));
+  // No constants at all: only two distinct free values tell ⊥1 from ⊥2.
+  Database free_only = Db("R(2) = { (_1, _2) }");
+  expect_match(Q("Q() := exists x . exists y . R(x, y) & !(x = y)"),
+               free_only, {Tuple{}});
+  expect_match(Q("Q(x) := exists y . R(x, y) & !(x = y)"), free_only,
+               UnaryProbes(free_only));
 }
 
 // The partition pass calls the instance's witness from several pool

@@ -10,6 +10,8 @@
 #include "gen/random_db.h"
 #include "gen/random_query.h"
 #include "gen/scenarios.h"
+#include "plan/mode.h"
+#include "plan_mode_guard.h"
 #include "query/eval.h"
 #include "query/fragments.h"
 #include "query/parser.h"
@@ -302,6 +304,20 @@ TEST(PossibleAnswersTest, SupersetOfNaive) {
   // And possibility is non-trivial: some adom tuple is not possible.
   EXPECT_LT(possible.size(),
             AllTuplesOverAdom(example.db, 2).size());
+}
+
+// A candidate's constants belong to A: with D = {R(⊥1)}, v(⊥1) = c9
+// witnesses (c9) for R(x) and falsifies it for !R(x), and a range without
+// c9 reaches neither. In both plan modes (orbit walk and odometer).
+TEST(PossibleAnswersTest, CandidateConstantOutsideDIsInTheRange) {
+  Database db = Db("R(1) = { (_1) }");
+  const Tuple c9{Value::Constant("c9")};
+  for (plan::PlanMode mode :
+       {plan::PlanMode::kCompiled, plan::PlanMode::kInterpret}) {
+    PlanModeGuard guard(mode);
+    EXPECT_TRUE(IsPossibleAnswer(Q("Q(x) := R(x)"), db, c9));
+    EXPECT_FALSE(IsCertainAnswer(Q("Q(x) := !R(x)"), db, c9));
+  }
 }
 
 }  // namespace

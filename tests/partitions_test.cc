@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <vector>
-
 namespace zeroone {
 namespace {
 
@@ -19,44 +16,6 @@ TEST(PartitionsTest, BellNumbers) {
   EXPECT_EQ(BellNumber(20).ToString(), "51724158235372");
 }
 
-TEST(PartitionsTest, EnumerationMatchesBellNumber) {
-  for (std::size_t n = 0; n <= 7; ++n) {
-    std::size_t count = 0;
-    std::set<std::vector<std::size_t>> distinct;
-    ForEachSetPartition(n, [&](const SetPartition& p) {
-      ++count;
-      EXPECT_EQ(p.blocks.size(), n);
-      distinct.insert(p.blocks);
-    });
-    StatusOr<std::int64_t> bell = BellNumber(n).ToInt64();
-    ASSERT_TRUE(bell.ok());
-    EXPECT_EQ(count, static_cast<std::size_t>(*bell)) << n;
-    EXPECT_EQ(distinct.size(), count) << "duplicate partitions at n=" << n;
-  }
-}
-
-TEST(PartitionsTest, RestrictedGrowthInvariant) {
-  ForEachSetPartition(5, [&](const SetPartition& p) {
-    std::size_t max_seen = 0;
-    for (std::size_t i = 0; i < p.blocks.size(); ++i) {
-      EXPECT_LE(p.blocks[i], max_seen) << "not a restricted growth string";
-      max_seen = std::max(max_seen, p.blocks[i] + 1);
-    }
-    EXPECT_EQ(p.block_count, max_seen);
-  });
-}
-
-TEST(PartitionsTest, BlocksGroupsElements) {
-  SetPartition p;
-  p.blocks = {0, 1, 0, 2, 1};
-  p.block_count = 3;
-  auto blocks = p.Blocks();
-  ASSERT_EQ(blocks.size(), 3u);
-  EXPECT_EQ(blocks[0], (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(blocks[1], (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(blocks[2], (std::vector<std::size_t>{3}));
-}
-
 TEST(PartitionsTest, StirlingSecond) {
   EXPECT_EQ(StirlingSecond(0, 0).ToString(), "1");
   EXPECT_EQ(StirlingSecond(4, 2).ToString(), "7");
@@ -68,45 +27,6 @@ TEST(PartitionsTest, StirlingSecond) {
     BigInt sum(0);
     for (std::size_t t = 0; t <= n; ++t) sum += StirlingSecond(n, t);
     EXPECT_EQ(sum.ToString(), BellNumber(n).ToString()) << n;
-  }
-}
-
-TEST(PartitionsTest, InjectivePartialMapCount) {
-  // Number of injective partial maps from a d-set into an r-set is
-  // Σ_j C(d,j) · r!/(r−j)!.
-  auto expected_count = [](std::size_t d, std::size_t r) {
-    // Direct computation with small numbers.
-    auto choose = [](std::size_t n, std::size_t k) {
-      double c = 1;
-      for (std::size_t i = 0; i < k; ++i) c = c * (n - i) / (i + 1);
-      return static_cast<std::size_t>(c + 0.5);
-    };
-    std::size_t total = 0;
-    for (std::size_t j = 0; j <= std::min(d, r); ++j) {
-      std::size_t arrangements = 1;
-      for (std::size_t i = 0; i < j; ++i) arrangements *= r - i;
-      total += choose(d, j) * arrangements;
-    }
-    return total;
-  };
-  for (std::size_t d = 0; d <= 4; ++d) {
-    for (std::size_t r = 0; r <= 4; ++r) {
-      std::size_t count = 0;
-      std::set<std::vector<std::size_t>> distinct;
-      ForEachInjectivePartialMap(d, r, [&](const std::vector<std::size_t>& m) {
-        ++count;
-        distinct.insert(m);
-        // Verify injectivity on assigned values.
-        std::set<std::size_t> used;
-        for (std::size_t v : m) {
-          if (v == kUnassigned) continue;
-          EXPECT_LT(v, r);
-          EXPECT_TRUE(used.insert(v).second);
-        }
-      });
-      EXPECT_EQ(count, expected_count(d, r)) << d << " " << r;
-      EXPECT_EQ(distinct.size(), count);
-    }
   }
 }
 

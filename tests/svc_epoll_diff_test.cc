@@ -44,11 +44,11 @@ namespace {
 
 constexpr const char* kFastDb =
     "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4) }";
-// Slow enough (5 nulls) that a 50ms deadline always expires mid-evaluation
-// and a queued request always outlives a 20ms deadline, even without
-// sanitizers; sanitizers only widen the margin.
+// Slow enough (6 nulls, ~1s of `certain`) that a 50ms deadline always
+// expires mid-evaluation and a queued request always outlives a 20ms
+// deadline, even without sanitizers; sanitizers only widen the margin.
 constexpr const char* kSlowDb =
-    "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4), (c5, _5) }";
+    "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4), (c5, _5), (c6, _6) }";
 constexpr const char* kQuery = "Q(x) := exists y . R(x, y)";
 // kQuery behind a double negation: the same answers, but outside Pos∀G and
 // the UCQs, so `certain` still runs the exponential enumerator instead of

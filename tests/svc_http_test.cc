@@ -26,11 +26,11 @@ namespace zeroone {
 namespace svc {
 namespace {
 
-// With 5 nulls `certain` takes several hundred ms — long enough that
+// With 6 nulls `certain` takes ~1s — long enough that
 // deadline and overload behavior are observable (same database svc_test.cc
 // uses for those paths).
 constexpr const char* kSlowDb =
-    "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4), (c5, _5) }";
+    "R(2) = { (c1, _1), (c2, _2), (c3, _3), (c4, _4), (c5, _5), (c6, _6) }";
 constexpr const char* kQuery = "Q(x) := exists y . R(x, y)";
 // kQuery behind a double negation: the same answers, but outside Pos∀G and
 // the UCQs, so `certain` still runs the exponential enumerator instead of
@@ -464,7 +464,7 @@ TEST_F(HttpServerTest, ParityDeadlineExceeded) {
               WireStatus::kOk);
   }
   Request slow = MakeRequest("certain");
-  slow.deadline_ms = 30;  // Far below the ~0.5s evaluation time.
+  slow.deadline_ms = 30;  // Far below the ~1s evaluation time.
   slow.no_cache = true;
   Response zo1 = Zo1Call(slow);
   ASSERT_EQ(zo1.status, WireStatus::kDeadlineExceeded);

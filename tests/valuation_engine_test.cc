@@ -8,6 +8,10 @@
 //   collapse rows, moving the one image from point to point.
 // - The engine's counts are byte-identical at every par width: MuKParallel
 //   and ComputeSupportPolynomial at widths 1, 2, 4 and 8.
+// - The orbit walk visits exactly one point of each orbit of the bounded
+//   range under the permutations fixing A, as many as the closed form
+//   Σ_t S(m,t)·Σ_j C(t,j)·(a)_j (Bell(m) for a = 0), and its shards cover
+//   each point once.
 // - Machine-word tallies fold into BigInt without losing the top bit.
 //
 // The suite names carry "Parallel" and "PlanDiff" so that the TSan job
@@ -15,11 +19,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
+
+#include "common/partitions.h"
 
 #include "core/support.h"
 #include "core/support_polynomial.h"
@@ -29,6 +37,7 @@
 #include "data/valuation_image.h"
 #include "gen/random_db.h"
 #include "gen/random_query.h"
+#include "obs/metrics.h"
 #include "par/pool.h"
 
 namespace zeroone {
@@ -192,6 +201,146 @@ TEST(WidthParallelPlanDiffTest, CountsAreIdenticalAtEveryWidth) {
     }
   }
 }
+
+// The representative ForEachOrbitPoint visits for a point's orbit: values
+// outside A renamed to fresh[0], fresh[1], … in order of first appearance.
+std::vector<Value> CanonicalPoint(const std::vector<Value>& point,
+                                  const std::vector<Value>& prefix,
+                                  const std::vector<Value>& fresh) {
+  std::vector<Value> seen;
+  std::vector<Value> canonical;
+  for (Value v : point) {
+    if (std::find(prefix.begin(), prefix.end(), v) != prefix.end()) {
+      canonical.push_back(v);
+      continue;
+    }
+    auto it = std::find(seen.begin(), seen.end(), v);
+    if (it == seen.end()) it = seen.insert(seen.end(), v);
+    canonical.push_back(fresh[it - seen.begin()]);
+  }
+  return canonical;
+}
+
+// Σ_t S(m,t)·Σ_j C(t,j)·(a)_j: kernel partitions with injective partial
+// maps of their blocks into A.
+std::uint64_t OrbitCount(std::size_t m, std::size_t a) {
+  std::uint64_t total = 0;
+  for (std::size_t t = 0; t <= m; ++t) {
+    std::uint64_t maps = 0;
+    for (std::size_t j = 0; j <= std::min(t, a); ++j) {
+      // C(t,j)·(a)_j, built factor by factor; each division is exact.
+      std::uint64_t ways = 1;
+      for (std::size_t i = 0; i < j; ++i) {
+        ways = ways * (t - i) * (a - i) / (i + 1);
+      }
+      maps += ways;
+    }
+    total += static_cast<std::uint64_t>(*StirlingSecond(m, t).ToInt64()) * maps;
+  }
+  return total;
+}
+
+std::vector<Value> Prefix(std::size_t a) {
+  std::vector<Value> prefix;
+  for (std::size_t i = 0; i < a; ++i) {
+    prefix.push_back(Value::Constant("a" + std::to_string(i)));
+  }
+  return prefix;
+}
+
+TEST(OrbitWalkTest, VisitsOnePointPerOrbit) {
+  for (std::size_t m = 0; m <= 5; ++m) {
+    for (std::size_t a = 0; a <= 3; ++a) {
+      const std::vector<Value> prefix = Prefix(a);
+      const std::vector<Value> fresh = Value::EnumerationConstants(m, prefix);
+      std::vector<Value> point(m);
+      std::set<std::vector<Value>> visited;
+      std::uint64_t count = 0;
+      EXPECT_TRUE(ForEachOrbitPoint(&point, prefix, fresh, [&](std::size_t f) {
+        ++count;
+        // Canonical, with f free blocks: fresh[0..f) and nothing beyond.
+        EXPECT_EQ(CanonicalPoint(point, prefix, fresh), point);
+        std::set<Value> free_values;
+        for (Value v : point) {
+          if (std::find(prefix.begin(), prefix.end(), v) == prefix.end()) {
+            free_values.insert(v);
+          }
+        }
+        EXPECT_EQ(free_values.size(), f);
+        visited.insert(point);
+        return true;
+      }));
+      EXPECT_EQ(visited.size(), count) << "a point visited twice";
+      EXPECT_EQ(count, OrbitCount(m, a)) << "m = " << m << ", a = " << a;
+      if (a == 0) {
+        EXPECT_EQ(count,
+                  static_cast<std::uint64_t>(*BellNumber(m).ToInt64()));
+      }
+      // Every point of (A ∪ fresh)^m lies in the orbit of a visited one.
+      std::vector<Value> domain = prefix;
+      domain.insert(domain.end(), fresh.begin(), fresh.end());
+      std::vector<Value> any(m);
+      ForEachPoint(&any, 0, domain, [&] {
+        EXPECT_EQ(visited.count(CanonicalPoint(any, prefix, fresh)), 1u);
+        return true;
+      });
+    }
+  }
+}
+
+TEST(OrbitWalkParallelTest, ShardsCoverEveryPointOnce) {
+  for (std::size_t m : {0u, 1u, 3u, 5u}) {
+    for (std::size_t a : {0u, 2u, 5u}) {
+      const std::vector<Value> prefix = Prefix(a);
+      const std::vector<Value> fresh = Value::EnumerationConstants(m, prefix);
+      std::vector<Value> point(m);
+      std::multiset<std::vector<Value>> whole;
+      ForEachOrbitPoint(&point, prefix, fresh, [&](std::size_t) {
+        whole.insert(point);
+        return true;
+      });
+      for (std::size_t count : {2u, 3u, 16u, 64u}) {
+        std::multiset<std::vector<Value>> sharded;
+        for (std::size_t index = 0; index < count; ++index) {
+          ForEachOrbitPoint(
+              &point, prefix, fresh,
+              [&](std::size_t) {
+                sharded.insert(point);
+                return true;
+              },
+              OrbitShard{index, count});
+        }
+        EXPECT_EQ(sharded, whole)
+            << "m = " << m << ", a = " << a << ", shards " << count;
+      }
+    }
+  }
+}
+
+#if ZEROONE_OBS_ENABLED
+TEST(OrbitWalkTest, StopsOnRequestAndCountsVisitedPoints) {
+  obs::Counter& maps =
+      obs::Registry::Global().GetCounter("support.partition_maps_enumerated");
+  obs::Counter& partitions =
+      obs::Registry::Global().GetCounter("support.partitions_enumerated");
+  const std::vector<Value> prefix = Prefix(5);
+  const std::vector<Value> fresh = Value::EnumerationConstants(4, prefix);
+  std::vector<Value> point(4);
+  std::uint64_t before = maps.value();
+  std::uint64_t partitions_before = partitions.value();
+  EXPECT_TRUE(ForEachOrbitPoint(&point, prefix, fresh,
+                                [](std::size_t) { return true; }));
+  EXPECT_EQ(maps.value() - before, 1540u);
+  EXPECT_EQ(partitions.value() - partitions_before, 15u);  // B(4).
+  before = maps.value();
+  std::uint64_t visits = 0;
+  EXPECT_FALSE(ForEachOrbitPoint(&point, prefix, fresh, [&](std::size_t) {
+    return ++visits < 10;
+  }));
+  EXPECT_EQ(visits, 10u);
+  EXPECT_EQ(maps.value() - before, 10u);
+}
+#endif
 
 TEST(EngineTallyTest, FoldKeepsEveryBit) {
   EXPECT_EQ(TallyToBigInt(0).ToString(), "0");
